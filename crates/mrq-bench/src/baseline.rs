@@ -1,5 +1,5 @@
 //! Bench-regression gate: compare a fresh `experiments --json` run against a
-//! checked-in baseline (e.g. `BENCH_pr3.json`) and fail when any
+//! checked-in baseline (e.g. `BENCH_pr5.json`) and fail when any
 //! experiment's median per-query CPU latency regresses beyond a factor.
 //!
 //! The headline number per experiment is the median over every per-query CPU

@@ -10,7 +10,7 @@
 //!
 //! With no arguments every experiment runs at the `quick` scale.  The output
 //! of a full run is what EXPERIMENTS.md is based on.  `--json PATH` (e.g.
-//! `--json BENCH_pr3.json`) additionally writes a machine-readable summary —
+//! `--json BENCH_pr5.json`) additionally writes a machine-readable summary —
 //! per-experiment wall time, the median of every per-query CPU latency
 //! column, and the full metric rows — so successive runs can be diffed as a
 //! perf trajectory.  `--baseline PATH` compares the run against a previously
@@ -63,7 +63,7 @@ fn main() -> ExitCode {
                 match args.get(i) {
                     Some(path) => json_path = Some(path.clone()),
                     None => {
-                        eprintln!("--json needs an output path (e.g. BENCH_pr3.json)");
+                        eprintln!("--json needs an output path (e.g. BENCH_pr5.json)");
                         return ExitCode::FAILURE;
                     }
                 }

@@ -1,6 +1,6 @@
 //! Smoke test for the experiment harness: run one experiment end-to-end at a
 //! tiny cardinality so the bench crate is exercised by the tier-1 suite
-//! (`cargo test`), not only by `cargo bench` / the `experiments` binary.
+//! (`cargo test`), not only by the `experiments` binary.
 
 use mrq_bench::experiments;
 use mrq_bench::runner::{focal_ids, measure, synthetic_workload};

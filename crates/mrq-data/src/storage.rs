@@ -52,7 +52,7 @@
 //! byte and page counts reported here ([`RecoveryReport`]) are the opposite:
 //! they count bytes genuinely read from disk during recovery, converted to
 //! pages of [`STORAGE_PAGE_BYTES`].  The serving layer surfaces them through
-//! `STATS` as durability counters so the two kinds of "I/O" are never
+//! `metrics` as durability counters so the two kinds of "I/O" are never
 //! conflated.
 //!
 //! # Fault injection (test hook)

@@ -10,7 +10,7 @@
 //! file I/O the system performs (reading `snapshot.bin` and replaying
 //! `wal.log` during recovery) is counted separately, in bytes and pages of
 //! the same 4 KiB size, by `mrq_data::storage::RecoveryReport` and surfaced
-//! through the service's `STATS` durability counters.  Keep the two apart
+//! through the service's `metrics` durability counters.  Keep the two apart
 //! when reading reports: `io_reads` reproduces the paper's cost model,
 //! `recovery_pages_read` measures disk traffic that genuinely happened.
 

@@ -1,6 +1,6 @@
 //! The result cache: an LRU map from `(dataset, version, focal, algorithm,
 //! tau)` to a shared [`MaxRankResult`], with hit/miss/eviction counters for
-//! the `STATS` command.
+//! the `metrics` verb.
 //!
 //! The **dataset version** in the key is what keeps caching sound under
 //! updates: an `UPDATE` bumps the dataset's version, so every later query
@@ -52,7 +52,7 @@ pub struct CacheKey {
     pub tau: usize,
 }
 
-/// Counter snapshot reported by `STATS`.
+/// Counter snapshot exported through the `metrics` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups answered from the cache.

@@ -1,14 +1,9 @@
 //! A small blocking client for the loopback protocol, used by the
 //! `maxrank-client` binary, the integration tests and the CI smoke check.
 
-use crate::cache::CacheStats;
-use crate::pool::PoolStats;
+use crate::metrics::MetricsSnapshot;
 use crate::protocol::json::Json;
 use crate::protocol::{write_frame, Request, MAX_FRAME_BYTES, MAX_HEADER_BYTES};
-use crate::querystats::DatasetQueryStats;
-use crate::registry::DurabilityStats;
-use crate::service::ReliabilityStats;
-use crate::subscriptions::SubscriptionStats;
 use mrq_core::Algorithm;
 use mrq_data::RecordId;
 use std::collections::VecDeque;
@@ -106,29 +101,6 @@ pub struct UpdateReply {
     pub inserted: Vec<RecordId>,
     /// Number of deleted records.
     pub deleted: usize,
-}
-
-/// A decoded `stats` answer.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct StatsReply {
-    /// Result-cache counters.
-    pub cache: CacheStats,
-    /// Worker-pool counters.
-    pub pool: PoolStats,
-    /// Registered dataset names.
-    pub datasets: Vec<String>,
-    /// Cumulative per-dataset query statistics (ordered by dataset name;
-    /// absent entries mean the dataset was never queried).
-    pub per_dataset: Vec<DatasetQueryStats>,
-    /// Durability counters (all zero against a server without `--data-dir`).
-    pub durability: DurabilityStats,
-    /// Standing-query counters (all zero against a server without the
-    /// subscription subsystem).
-    pub subscriptions: SubscriptionStats,
-    /// Overload/retry counters (all zero against a pre-robustness server).
-    pub reliability: ReliabilityStats,
-    /// Names of datasets currently in degraded (read-only) mode.
-    pub degraded: Vec<String>,
 }
 
 /// Retry behaviour of a [`Client`]: capped exponential backoff with
@@ -709,143 +681,10 @@ impl Client {
         })
     }
 
-    /// Fetches the server's counters.
-    pub fn stats(&mut self) -> Result<StatsReply, ClientError> {
-        let value = self.exchange(&Request::Stats, true)?;
-        let section = |name: &str| {
-            value
-                .get(name)
-                .cloned()
-                .ok_or_else(|| ClientError::Protocol(format!("missing '{name}'")))
-        };
-        let num = |obj: &Json, key: &str| {
-            obj.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| ClientError::Protocol(format!("missing numeric '{key}'")))
-        };
-        let cache = section("cache")?;
-        let pool = section("pool")?;
-        // `query_stats` was added in PR 5; tolerate servers without it.
-        let per_dataset = value
-            .get("query_stats")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .map(|d| {
-                Ok(DatasetQueryStats {
-                    dataset: d
-                        .get("dataset")
-                        .and_then(Json::as_str)
-                        .ok_or_else(|| {
-                            ClientError::Protocol("query_stats entry without dataset".into())
-                        })?
-                        .to_string(),
-                    queries: num(d, "queries")? as u64,
-                    cache_hits: num(d, "cache_hits")? as u64,
-                    cpu_us: num(d, "cpu_us")? as u64,
-                    io_reads: num(d, "io_reads")? as u64,
-                    cells_tested: num(d, "cells_tested")? as u64,
-                    lp_calls: num(d, "lp_calls")? as u64,
-                    witness_hits: num(d, "witness_hits")? as u64,
-                })
-            })
-            .collect::<Result<Vec<_>, ClientError>>()?;
-        // `durability` was added in PR 6; tolerate servers without it.
-        let durability = value
-            .get("durability")
-            .map(|d| {
-                let field = |key: &str| num(d, key).map(|v| v as u64);
-                Ok::<_, ClientError>(DurabilityStats {
-                    durable_datasets: field("durable_datasets")?,
-                    recovered_datasets: field("recovered_datasets")?,
-                    wal_batches_replayed: field("wal_batches_replayed")?,
-                    torn_bytes_discarded: field("torn_bytes_discarded")?,
-                    recovery_pages_read: field("recovery_pages_read")?,
-                    wal_appends: field("wal_appends")?,
-                    wal_appended_bytes: field("wal_appended_bytes")?,
-                    checkpoints: field("checkpoints")?,
-                })
-            })
-            .transpose()?
-            .unwrap_or_default();
-        // `subscriptions` arrived with the subscription subsystem; tolerate
-        // servers without it (same convention as `durability`).
-        let subscriptions = value
-            .get("subscriptions")
-            .map(|s| {
-                let field = |key: &str| num(s, key).map(|v| v as u64);
-                Ok::<_, ClientError>(SubscriptionStats {
-                    active: field("active")?,
-                    deltas_triaged: field("deltas_triaged")?,
-                    unaffected_skips: field("unaffected_skips")?,
-                    partial_repairs: field("partial_repairs")?,
-                    full_reevals: field("full_reevals")?,
-                })
-            })
-            .transpose()?
-            .unwrap_or_default();
-        // `reliability` and `degraded` arrived with the robustness layer;
-        // tolerate servers without them.
-        let reliability = value
-            .get("reliability")
-            .map(|r| {
-                let field = |key: &str| num(r, key).map(|v| v as u64);
-                Ok::<_, ClientError>(ReliabilityStats {
-                    connections_shed: field("connections_shed")?,
-                    idle_disconnects: field("idle_disconnects")?,
-                    update_dedup_hits: field("update_dedup_hits")?,
-                })
-            })
-            .transpose()?
-            .unwrap_or_default();
-        let degraded = value
-            .get("degraded")
-            .and_then(Json::as_array)
-            .unwrap_or(&[])
-            .iter()
-            .filter_map(|v| v.as_str().map(str::to_string))
-            .collect();
-        Ok(StatsReply {
-            cache: CacheStats {
-                hits: num(&cache, "hits")? as u64,
-                misses: num(&cache, "misses")? as u64,
-                evictions: num(&cache, "evictions")? as u64,
-                // `evictions_stale` arrived with the subscription subsystem;
-                // tolerate servers without it.
-                evictions_stale: cache
-                    .get("evictions_stale")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u64,
-                len: num(&cache, "len")? as usize,
-                capacity: num(&cache, "capacity")? as usize,
-            },
-            pool: PoolStats {
-                workers: num(&pool, "workers")? as usize,
-                queue_capacity: num(&pool, "queue_capacity")? as usize,
-                queue_depth: num(&pool, "queue_depth")? as usize,
-                executed: num(&pool, "executed")? as u64,
-                coalesced: num(&pool, "coalesced")? as u64,
-                timed_out: num(&pool, "timed_out")? as u64,
-                // `deadline_rejected` arrived with the observability layer;
-                // tolerate servers without it.
-                deadline_rejected: pool
-                    .get("deadline_rejected")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0) as u64,
-            },
-            datasets: value
-                .get("datasets")
-                .and_then(Json::as_array)
-                .unwrap_or(&[])
-                .iter()
-                .filter_map(|v| v.as_str().map(str::to_string))
-                .collect(),
-            per_dataset,
-            durability,
-            subscriptions,
-            reliability,
-            degraded,
-        })
+    /// Fetches the server's counters as an exact snapshot: the `metrics`
+    /// text, parsed.
+    pub fn stats(&mut self) -> Result<MetricsSnapshot, ClientError> {
+        MetricsSnapshot::parse(&self.metrics()?).map_err(ClientError::Protocol)
     }
 
     /// Fetches the Prometheus exposition text (the `metrics` verb).  The
@@ -935,16 +774,15 @@ mod tests {
         assert_eq!(again.k_star, 3);
 
         let stats = client.stats().unwrap();
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.datasets, vec!["demo".to_string()]);
-        assert_eq!(stats.pool.workers, 2);
+        assert_eq!(stats.get("mrq_cache_hits_total"), Some(1));
+        assert_eq!(stats.get("mrq_pool_workers"), Some(2));
         // Per-dataset totals round-trip through the wire format.
-        assert_eq!(stats.per_dataset.len(), 1);
-        let demo = &stats.per_dataset[0];
-        assert_eq!(demo.dataset, "demo");
-        assert_eq!(demo.queries, 1);
-        assert_eq!(demo.cache_hits, 1);
-        assert!(demo.io_reads > 0);
+        assert_eq!(stats.get_for("mrq_dataset_queries_total", "demo"), Some(1));
+        assert_eq!(
+            stats.get_for("mrq_dataset_cache_hits_total", "demo"),
+            Some(1)
+        );
+        assert!(stats.get_for("mrq_dataset_io_reads_total", "demo").unwrap() > 0);
 
         assert_eq!(client.list().unwrap(), vec![("demo".to_string(), 6, 2)]);
 
@@ -1041,9 +879,15 @@ mod tests {
             None
         );
         let stats = updater.stats().unwrap();
-        assert_eq!(stats.subscriptions.active, 1);
-        assert_eq!(stats.subscriptions.unaffected_skips, 1);
-        assert!(stats.cache.evictions_stale <= stats.cache.evictions + 1);
+        assert_eq!(stats.get("mrq_subscriptions_active"), Some(1));
+        assert_eq!(
+            stats.get("mrq_subscription_unaffected_skips_total"),
+            Some(1)
+        );
+        assert!(
+            stats.get("mrq_cache_evictions_stale_total").unwrap()
+                <= stats.get("mrq_cache_evictions_total").unwrap() + 1
+        );
 
         // A dominating insert must push a change with the new version.
         updater.update("demo", &[vec![0.95, 0.95]], &[]).unwrap();
@@ -1076,7 +920,10 @@ mod tests {
             }
             other => panic!("expected cancellation, got {other:?}"),
         }
-        assert_eq!(updater.stats().unwrap().subscriptions.active, 0);
+        assert_eq!(
+            updater.stats().unwrap().get("mrq_subscriptions_active"),
+            Some(0)
+        );
 
         // The connection still answers ordinary requests afterwards.
         client.ping().unwrap();
@@ -1109,38 +956,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_parsing_tolerates_absent_subscription_fields() {
-        // A stats payload from a pre-subscription server: no `subscriptions`
-        // object, no `evictions_stale` counter.  `Client::stats` must parse
-        // it with the new fields defaulted to zero, not error.
-        let payload = "{\"ok\":true,\
-            \"cache\":{\"hits\":1,\"misses\":2,\"evictions\":0,\"len\":1,\"capacity\":8},\
-            \"pool\":{\"workers\":2,\"queue_capacity\":16,\"queue_depth\":0,\
-                      \"executed\":3,\"coalesced\":0,\"timed_out\":0},\
-            \"datasets\":[\"demo\"]}";
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let addr = listener.local_addr().unwrap();
-        let payload = payload.to_string();
-        let fake = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-            crate::protocol::read_frame(&mut reader).unwrap();
-            let mut writer = stream;
-            crate::protocol::write_frame(&mut writer, &payload).unwrap();
-        });
-        let mut client = Client::connect(addr).unwrap();
-        let stats = client.stats().unwrap();
-        assert_eq!(stats.cache.hits, 1);
-        assert_eq!(stats.cache.evictions_stale, 0);
-        assert_eq!(stats.subscriptions, SubscriptionStats::default());
-        assert_eq!(
-            stats.durability,
-            crate::registry::DurabilityStats::default()
-        );
-        fake.join().unwrap();
-    }
-
-    #[test]
     fn update_with_request_id_is_exactly_once() {
         let server = demo_server();
         let mut client = Client::connect(server.local_addr()).unwrap();
@@ -1155,7 +970,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(client.query("demo", 5).unwrap().version, first.version);
         let stats = client.stats().unwrap();
-        assert_eq!(stats.reliability.update_dedup_hits, 1);
+        assert_eq!(stats.get("mrq_update_dedup_hits_total"), Some(1));
         server.shutdown();
     }
 

@@ -20,8 +20,10 @@
 //!   requests are coalesced through `mrq_core::evaluate_batch`; per-request
 //!   deadlines; graceful drain-then-join shutdown.
 //! * [`cache`] — an O(1) LRU over `(dataset, version, focal, algorithm,
-//!   tau)` with hit/miss/eviction counters (the `STATS` command); the
-//!   version component retires stale entries without a flush.
+//!   tau)` with hit/miss/eviction counters; the version component retires
+//!   stale entries without a flush.
+//! * [`metrics`] — the counter registry behind the `metrics` verb, the
+//!   `/metrics` scrape and `maxrank-client --stats`.
 //! * [`service`] — the in-process composition ([`MrqService`]).
 //! * [`subscriptions`] — standing queries: resident results registered via
 //!   `SUBSCRIBE`, maintained under updates by `mrq_core::maintain`'s delta
@@ -58,11 +60,11 @@ pub(crate) mod sync;
 
 pub use cache::{CacheKey, CacheStats, ResultCache};
 pub use client::{
-    Client, ClientError, Notification, QueryOptions, QueryReply, RetryPolicy, StatsReply,
-    SubscriptionReply, UpdateReply,
+    Client, ClientError, Notification, QueryOptions, QueryReply, RetryPolicy, SubscriptionReply,
+    UpdateReply,
 };
 pub use error::ServiceError;
-pub use metrics::{render_metrics, MetricsServer};
+pub use metrics::{families, render_metrics, MetricsServer, MetricsSnapshot};
 pub use pool::{PoolConfig, PoolStats, WorkerPool};
 pub use querystats::{DatasetQueryStats, QueryStatsBook};
 pub use registry::{

@@ -1,15 +1,20 @@
-//! Prometheus-format observability: the text renderer behind the `metrics`
-//! protocol verb and the plain-HTTP scrape listener behind `--metrics-port`.
+//! Prometheus-format observability: the counter registry, its text renderer
+//! and parser, and the plain-HTTP scrape listener behind `--metrics-port`.
+//!
+//! [`families`] is the one place that names a counter: each row maps a
+//! family name, its `counter`/`gauge` kind and its help text to a
+//! [`ServiceStats`] field.  Every counter surface derives from it — the
+//! `metrics` protocol verb (and its alias `stats`), the HTTP scrape, and
+//! `maxrank-client --stats`, which prints the parsed text sample by sample.
+//! Adding a counter takes one `ServiceStats` field, one registry row and a
+//! regenerated `tests/golden/metrics.prom`.
 //!
 //! The renderer emits the [text exposition format] by hand, like the rest of
 //! the std-only stack: one `# HELP` / `# TYPE` pair per family, then the
-//! samples.  Every counter the system keeps is exported — result-cache
-//! hits/misses/evictions, worker-pool throughput and rejections, per-dataset
-//! lifetime query totals, durability (WAL/checkpoint) counters, and
-//! subscription triage tallies.  Values are written through `u64`/`usize`
-//! `Display`, never through the JSON writer's `f64` path, so counters stay
-//! **integer-exact past 2^53** (the `STATS` JSON verb cannot promise that;
-//! this endpoint can and tests pin it).
+//! samples.  Values are written through `u64`'s `Display` and cross the
+//! protocol inside a JSON *string*, never a JSON number, and
+//! [`MetricsSnapshot::parse`] reads them back as `u64`, so counters stay
+//! **integer-exact past 2^53** end to end (tests pin this).
 //!
 //! The listener speaks just enough HTTP/1.0 for `curl` and a Prometheus
 //! scraper: `GET /metrics` → `200` with `text/plain; version=0.0.4`,
@@ -19,6 +24,7 @@
 //!
 //! [text exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
+use crate::querystats::DatasetQueryStats;
 use crate::service::{MrqService, ServiceStats};
 use crate::sync::lock_or_recover;
 use std::fmt::Write as _;
@@ -31,6 +37,323 @@ use std::time::Duration;
 /// The `Content-Type` of the exposition format.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
 
+/// Whether a family is a monotone total or a level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Kind {
+    /// A process-lifetime total that never decreases.
+    Counter,
+    /// A current level that can go up and down.
+    Gauge,
+}
+
+impl Kind {
+    /// The exposition-format `# TYPE` keyword.
+    fn as_str(self) -> &'static str {
+        match self {
+            Kind::Counter => "counter",
+            Kind::Gauge => "gauge",
+        }
+    }
+}
+
+/// One sample: its `dataset` label (`None` for unlabelled families) and
+/// its value.
+pub type Sample = (Option<String>, u64);
+
+/// One metric family: its name, kind, help text and samples.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Family {
+    /// Family name, e.g. `mrq_cache_hits_total`.
+    pub name: String,
+    /// Counter or gauge.
+    pub kind: Kind,
+    /// One-line description (the `# HELP` text).
+    pub help: String,
+    /// The samples: one unlabelled sample, or one per dataset.
+    pub samples: Vec<Sample>,
+}
+
+/// The counter registry: every exported family, in exposition order, read
+/// from one stats snapshot.
+pub fn families(stats: &ServiceStats) -> Vec<Family> {
+    use Kind::{Counter, Gauge};
+    let (c, p, d, s, r) = (
+        &stats.cache,
+        &stats.pool,
+        &stats.durability,
+        &stats.subscriptions,
+        &stats.reliability,
+    );
+    let one = |value: u64| -> Vec<Sample> { vec![(None, value)] };
+    let per_dataset = |value: fn(&DatasetQueryStats) -> u64| -> Vec<Sample> {
+        stats
+            .per_dataset
+            .iter()
+            .map(|q| (Some(q.dataset.clone()), value(q)))
+            .collect()
+    };
+    let degraded: Vec<Sample> = stats
+        .datasets
+        .iter()
+        .map(|name| (Some(name.clone()), u64::from(stats.degraded.contains(name))))
+        .collect();
+    let rows = vec![
+        // Result cache.
+        (
+            "mrq_cache_hits_total",
+            Counter,
+            "Result-cache lookups answered from the cache.",
+            one(c.hits),
+        ),
+        (
+            "mrq_cache_misses_total",
+            Counter,
+            "Result-cache lookups that missed.",
+            one(c.misses),
+        ),
+        (
+            "mrq_cache_evictions_total",
+            Counter,
+            "Entries evicted from the result cache to make room.",
+            one(c.evictions),
+        ),
+        (
+            "mrq_cache_evictions_stale_total",
+            Counter,
+            "Entries purged because their dataset moved past their version.",
+            one(c.evictions_stale),
+        ),
+        (
+            "mrq_cache_entries",
+            Gauge,
+            "Entries currently resident in the result cache.",
+            one(c.len as u64),
+        ),
+        (
+            "mrq_cache_capacity",
+            Gauge,
+            "Result-cache capacity (0 = caching disabled).",
+            one(c.capacity as u64),
+        ),
+        // Worker pool.
+        (
+            "mrq_pool_workers",
+            Gauge,
+            "Worker threads in the query pool.",
+            one(p.workers as u64),
+        ),
+        (
+            "mrq_pool_queue_capacity",
+            Gauge,
+            "Bounded queue capacity of the query pool.",
+            one(p.queue_capacity as u64),
+        ),
+        (
+            "mrq_pool_queue_depth",
+            Gauge,
+            "Jobs currently queued in the query pool.",
+            one(p.queue_depth as u64),
+        ),
+        (
+            "mrq_pool_jobs_executed_total",
+            Counter,
+            "Jobs evaluated by the pool (cache hits and rejections excluded).",
+            one(p.executed),
+        ),
+        (
+            "mrq_pool_jobs_coalesced_total",
+            Counter,
+            "Jobs that rode along in a coalesced same-dataset batch.",
+            one(p.coalesced),
+        ),
+        (
+            "mrq_pool_jobs_timed_out_total",
+            Counter,
+            "Jobs whose deadline had already passed at dequeue time.",
+            one(p.timed_out),
+        ),
+        (
+            "mrq_pool_jobs_deadline_rejected_total",
+            Counter,
+            "Jobs rejected by the second deadline check, between cache lookup and evaluation.",
+            one(p.deadline_rejected),
+        ),
+        // Per-dataset lifetime query totals.
+        (
+            "mrq_dataset_queries_total",
+            Counter,
+            "Queries evaluated per dataset (cache hits excluded).",
+            per_dataset(|q| q.queries),
+        ),
+        (
+            "mrq_dataset_cache_hits_total",
+            Counter,
+            "Queries answered from the result cache per dataset.",
+            per_dataset(|q| q.cache_hits),
+        ),
+        (
+            "mrq_dataset_cpu_microseconds_total",
+            Counter,
+            "CPU time spent evaluating queries per dataset, in microseconds.",
+            per_dataset(|q| q.cpu_us),
+        ),
+        (
+            "mrq_dataset_io_reads_total",
+            Counter,
+            "Simulated page reads per dataset (the paper's I/O model).",
+            per_dataset(|q| q.io_reads),
+        ),
+        (
+            "mrq_dataset_cells_tested_total",
+            Counter,
+            "Candidate cells decided per dataset (witness cache or LP).",
+            per_dataset(|q| q.cells_tested),
+        ),
+        (
+            "mrq_dataset_lp_calls_total",
+            Counter,
+            "Simplex LPs solved per dataset.",
+            per_dataset(|q| q.lp_calls),
+        ),
+        (
+            "mrq_dataset_witness_hits_total",
+            Counter,
+            "Candidates proven non-empty by a cached witness per dataset.",
+            per_dataset(|q| q.witness_hits),
+        ),
+        // Durability.
+        (
+            "mrq_durable_datasets",
+            Gauge,
+            "Datasets currently backed by an on-disk store.",
+            one(d.durable_datasets),
+        ),
+        (
+            "mrq_recovered_datasets_total",
+            Counter,
+            "Datasets recovered from an existing store at registration time.",
+            one(d.recovered_datasets),
+        ),
+        (
+            "mrq_wal_batches_replayed_total",
+            Counter,
+            "WAL batches replayed across all recoveries.",
+            one(d.wal_batches_replayed),
+        ),
+        (
+            "mrq_wal_torn_bytes_discarded_total",
+            Counter,
+            "Torn WAL tail bytes discarded across all recoveries.",
+            one(d.torn_bytes_discarded),
+        ),
+        (
+            "mrq_recovery_pages_read_total",
+            Counter,
+            "Real 4 KiB pages read from disk during recovery.",
+            one(d.recovery_pages_read),
+        ),
+        (
+            "mrq_wal_appends_total",
+            Counter,
+            "Update batches appended (and fsynced) to write-ahead logs.",
+            one(d.wal_appends),
+        ),
+        (
+            "mrq_wal_appended_bytes_total",
+            Counter,
+            "Bytes appended to write-ahead logs.",
+            one(d.wal_appended_bytes),
+        ),
+        (
+            "mrq_checkpoints_total",
+            Counter,
+            "Checkpoints taken (snapshot rewrite + WAL truncation).",
+            one(d.checkpoints),
+        ),
+        // Standing queries.
+        (
+            "mrq_subscriptions_active",
+            Gauge,
+            "Currently registered subscriptions.",
+            one(s.active),
+        ),
+        (
+            "mrq_subscription_deltas_triaged_total",
+            Counter,
+            "Delta records examined by the subscription triage pass.",
+            one(s.deltas_triaged),
+        ),
+        (
+            "mrq_subscription_unaffected_skips_total",
+            Counter,
+            "Deltas certified unaffected without touching the index.",
+            one(s.unaffected_skips),
+        ),
+        (
+            "mrq_subscription_partial_repairs_total",
+            Counter,
+            "Deltas resolved by an arithmetic rank shift.",
+            one(s.partial_repairs),
+        ),
+        (
+            "mrq_subscription_full_reevals_total",
+            Counter,
+            "Full re-evaluations forced by a delta crossing a resident region.",
+            one(s.full_reevals),
+        ),
+        // Overload control and exactly-once retries.
+        (
+            "mrq_connections_shed_total",
+            Counter,
+            "Connections rejected at accept time with a retryable busy frame.",
+            one(r.connections_shed),
+        ),
+        (
+            "mrq_idle_disconnects_total",
+            Counter,
+            "Connections cut for holding a partial frame past the idle timeout.",
+            one(r.idle_disconnects),
+        ),
+        (
+            "mrq_update_dedup_hits_total",
+            Counter,
+            "Retried updates answered from the request-id dedup window.",
+            one(r.update_dedup_hits),
+        ),
+        (
+            "mrq_dataset_degraded",
+            Gauge,
+            "1 when the dataset is in degraded (read-only) mode after a storage failure.",
+            degraded,
+        ),
+    ];
+    rows.into_iter()
+        .map(|(name, kind, help, samples)| Family {
+            name: name.into(),
+            kind,
+            help: help.into(),
+            samples,
+        })
+        .collect()
+}
+
+/// Renders the full Prometheus exposition text for one stats snapshot.
+pub fn render_metrics(stats: &ServiceStats) -> String {
+    render(&families(stats))
+}
+
+/// Renders families as exposition text, in the order given.
+fn render(families: &[Family]) -> String {
+    let mut e = Exposition::new();
+    for family in families {
+        e.family(&family.name, family.kind, &family.help);
+        for (dataset, value) in &family.samples {
+            e.sample(&family.name, dataset.as_deref(), *value);
+        }
+    }
+    e.out
+}
+
 /// Incremental writer for one exposition document.
 struct Exposition {
     out: String,
@@ -42,331 +365,146 @@ impl Exposition {
     }
 
     /// Starts a metric family: `# HELP` + `# TYPE` lines.
-    fn family(&mut self, name: &str, kind: &str, help: &str) {
+    fn family(&mut self, name: &str, kind: Kind, help: &str) {
         let _ = writeln!(self.out, "# HELP {name} {help}");
-        let _ = writeln!(self.out, "# TYPE {name} {kind}");
+        let _ = writeln!(self.out, "# TYPE {name} {}", kind.as_str());
     }
 
-    /// One unlabelled sample.  `u64::Display` keeps the value integer-exact.
-    fn sample(&mut self, name: &str, value: u64) {
-        let _ = writeln!(self.out, "{name} {value}");
-    }
-
-    /// One sample labelled with the dataset name.
-    fn dataset_sample(&mut self, name: &str, dataset: &str, value: u64) {
-        let _ = write!(self.out, "{name}{{dataset=\"");
-        // Label-value escaping per the exposition format: backslash, quote
-        // and newline.
-        for c in dataset.chars() {
-            match c {
-                '\\' => self.out.push_str("\\\\"),
-                '"' => self.out.push_str("\\\""),
-                '\n' => self.out.push_str("\\n"),
-                c => self.out.push(c),
-            }
-        }
-        let _ = writeln!(self.out, "\"}} {value}");
+    /// One sample, labelled with the dataset name when it has one.
+    /// `u64::Display` keeps the value integer-exact.
+    fn sample(&mut self, name: &str, dataset: Option<&str>, value: u64) {
+        write_series(&mut self.out, name, dataset);
+        let _ = writeln!(self.out, " {value}");
     }
 }
 
-/// Renders the full Prometheus exposition text for one stats snapshot.
-pub fn render_metrics(stats: &ServiceStats) -> String {
-    let mut e = Exposition::new();
+/// Writes a series name: `name` or `name{dataset="…"}`.
+fn write_series(out: &mut String, name: &str, dataset: Option<&str>) {
+    out.push_str(name);
+    let Some(dataset) = dataset else {
+        return;
+    };
+    out.push_str("{dataset=\"");
+    // Label-value escaping per the exposition format: backslash, quote and
+    // newline.
+    for c in dataset.chars() {
+        match c {
+            '\\' => out.push_str("\\\\"),
+            '"' => out.push_str("\\\""),
+            '\n' => out.push_str("\\n"),
+            c => out.push(c),
+        }
+    }
+    out.push_str("\"}");
+}
 
-    // Result cache.
-    e.family(
-        "mrq_cache_hits_total",
-        "counter",
-        "Result-cache lookups answered from the cache.",
-    );
-    e.sample("mrq_cache_hits_total", stats.cache.hits);
-    e.family(
-        "mrq_cache_misses_total",
-        "counter",
-        "Result-cache lookups that missed.",
-    );
-    e.sample("mrq_cache_misses_total", stats.cache.misses);
-    e.family(
-        "mrq_cache_evictions_total",
-        "counter",
-        "Entries evicted from the result cache to make room.",
-    );
-    e.sample("mrq_cache_evictions_total", stats.cache.evictions);
-    e.family(
-        "mrq_cache_evictions_stale_total",
-        "counter",
-        "Entries purged because their dataset moved past their version.",
-    );
-    e.sample(
-        "mrq_cache_evictions_stale_total",
-        stats.cache.evictions_stale,
-    );
-    e.family(
-        "mrq_cache_entries",
-        "gauge",
-        "Entries currently resident in the result cache.",
-    );
-    e.sample("mrq_cache_entries", stats.cache.len as u64);
-    e.family(
-        "mrq_cache_capacity",
-        "gauge",
-        "Result-cache capacity (0 = caching disabled).",
-    );
-    e.sample("mrq_cache_capacity", stats.cache.capacity as u64);
+/// A parsed exposition document: the families in document order, every
+/// value an exact `u64`.  This is what `Client::stats` returns.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct MetricsSnapshot {
+    /// The families, in document order.
+    pub families: Vec<Family>,
+}
 
-    // Worker pool.
-    e.family(
-        "mrq_pool_workers",
-        "gauge",
-        "Worker threads in the query pool.",
-    );
-    e.sample("mrq_pool_workers", stats.pool.workers as u64);
-    e.family(
-        "mrq_pool_queue_capacity",
-        "gauge",
-        "Bounded queue capacity of the query pool.",
-    );
-    e.sample("mrq_pool_queue_capacity", stats.pool.queue_capacity as u64);
-    e.family(
-        "mrq_pool_queue_depth",
-        "gauge",
-        "Jobs currently queued in the query pool.",
-    );
-    e.sample("mrq_pool_queue_depth", stats.pool.queue_depth as u64);
-    e.family(
-        "mrq_pool_jobs_executed_total",
-        "counter",
-        "Jobs evaluated by the pool (cache hits and rejections excluded).",
-    );
-    e.sample("mrq_pool_jobs_executed_total", stats.pool.executed);
-    e.family(
-        "mrq_pool_jobs_coalesced_total",
-        "counter",
-        "Jobs that rode along in a coalesced same-dataset batch.",
-    );
-    e.sample("mrq_pool_jobs_coalesced_total", stats.pool.coalesced);
-    e.family(
-        "mrq_pool_jobs_timed_out_total",
-        "counter",
-        "Jobs whose deadline had already passed at dequeue time.",
-    );
-    e.sample("mrq_pool_jobs_timed_out_total", stats.pool.timed_out);
-    e.family(
-        "mrq_pool_jobs_deadline_rejected_total",
-        "counter",
-        "Jobs rejected by the second deadline check, between cache lookup and evaluation.",
-    );
-    e.sample(
-        "mrq_pool_jobs_deadline_rejected_total",
-        stats.pool.deadline_rejected,
-    );
-
-    // Per-dataset lifetime query totals.
-    e.family(
-        "mrq_dataset_queries_total",
-        "counter",
-        "Queries evaluated per dataset (cache hits excluded).",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_queries_total", &d.dataset, d.queries);
-    }
-    e.family(
-        "mrq_dataset_cache_hits_total",
-        "counter",
-        "Queries answered from the result cache per dataset.",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_cache_hits_total", &d.dataset, d.cache_hits);
-    }
-    e.family(
-        "mrq_dataset_cpu_microseconds_total",
-        "counter",
-        "CPU time spent evaluating queries per dataset, in microseconds.",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_cpu_microseconds_total", &d.dataset, d.cpu_us);
-    }
-    e.family(
-        "mrq_dataset_io_reads_total",
-        "counter",
-        "Simulated page reads per dataset (the paper's I/O model).",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_io_reads_total", &d.dataset, d.io_reads);
-    }
-    e.family(
-        "mrq_dataset_cells_tested_total",
-        "counter",
-        "Candidate cells decided per dataset (witness cache or LP).",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_cells_tested_total", &d.dataset, d.cells_tested);
-    }
-    e.family(
-        "mrq_dataset_lp_calls_total",
-        "counter",
-        "Simplex LPs solved per dataset.",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_lp_calls_total", &d.dataset, d.lp_calls);
-    }
-    e.family(
-        "mrq_dataset_witness_hits_total",
-        "counter",
-        "Candidates proven non-empty by a cached witness per dataset.",
-    );
-    for d in &stats.per_dataset {
-        e.dataset_sample("mrq_dataset_witness_hits_total", &d.dataset, d.witness_hits);
+impl MetricsSnapshot {
+    /// Parses the text [`render_metrics`] writes.  Every sample must follow its
+    /// family's `# HELP` and `# TYPE` lines, carry at most a `dataset`
+    /// label, and have an unsigned integer value.
+    pub fn parse(text: &str) -> Result<MetricsSnapshot, String> {
+        let mut families: Vec<Family> = Vec::new();
+        let mut help: Option<(&str, &str)> = None;
+        for line in text.lines() {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                help = Some(rest.split_once(' ').unwrap_or((rest, "")));
+            } else if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let (name, kind) = rest
+                    .split_once(' ')
+                    .ok_or_else(|| format!("malformed TYPE line '{line}'"))?;
+                let kind = [Kind::Counter, Kind::Gauge]
+                    .into_iter()
+                    .find(|k| k.as_str() == kind)
+                    .ok_or_else(|| format!("unsupported metric type '{kind}'"))?;
+                let help = match help.take() {
+                    Some((help_name, help)) if help_name == name => help,
+                    _ => return Err(format!("TYPE of '{name}' without its HELP")),
+                };
+                families.push(Family {
+                    name: name.into(),
+                    kind,
+                    help: help.into(),
+                    samples: Vec::new(),
+                });
+            } else if !line.is_empty() && !line.starts_with('#') {
+                let (name, dataset, value) = parse_sample(line)?;
+                match families.last_mut() {
+                    Some(family) if family.name == name => family.samples.push((dataset, value)),
+                    _ => return Err(format!("sample of '{name}' outside its family")),
+                }
+            }
+        }
+        Ok(MetricsSnapshot { families })
     }
 
-    // Durability.
-    e.family(
-        "mrq_durable_datasets",
-        "gauge",
-        "Datasets currently backed by an on-disk store.",
-    );
-    e.sample("mrq_durable_datasets", stats.durability.durable_datasets);
-    e.family(
-        "mrq_recovered_datasets_total",
-        "counter",
-        "Datasets recovered from an existing store at registration time.",
-    );
-    e.sample(
-        "mrq_recovered_datasets_total",
-        stats.durability.recovered_datasets,
-    );
-    e.family(
-        "mrq_wal_batches_replayed_total",
-        "counter",
-        "WAL batches replayed across all recoveries.",
-    );
-    e.sample(
-        "mrq_wal_batches_replayed_total",
-        stats.durability.wal_batches_replayed,
-    );
-    e.family(
-        "mrq_wal_torn_bytes_discarded_total",
-        "counter",
-        "Torn WAL tail bytes discarded across all recoveries.",
-    );
-    e.sample(
-        "mrq_wal_torn_bytes_discarded_total",
-        stats.durability.torn_bytes_discarded,
-    );
-    e.family(
-        "mrq_recovery_pages_read_total",
-        "counter",
-        "Real 4 KiB pages read from disk during recovery.",
-    );
-    e.sample(
-        "mrq_recovery_pages_read_total",
-        stats.durability.recovery_pages_read,
-    );
-    e.family(
-        "mrq_wal_appends_total",
-        "counter",
-        "Update batches appended (and fsynced) to write-ahead logs.",
-    );
-    e.sample("mrq_wal_appends_total", stats.durability.wal_appends);
-    e.family(
-        "mrq_wal_appended_bytes_total",
-        "counter",
-        "Bytes appended to write-ahead logs.",
-    );
-    e.sample(
-        "mrq_wal_appended_bytes_total",
-        stats.durability.wal_appended_bytes,
-    );
-    e.family(
-        "mrq_checkpoints_total",
-        "counter",
-        "Checkpoints taken (snapshot rewrite + WAL truncation).",
-    );
-    e.sample("mrq_checkpoints_total", stats.durability.checkpoints);
-
-    // Standing queries.
-    e.family(
-        "mrq_subscriptions_active",
-        "gauge",
-        "Currently registered subscriptions.",
-    );
-    e.sample("mrq_subscriptions_active", stats.subscriptions.active);
-    e.family(
-        "mrq_subscription_deltas_triaged_total",
-        "counter",
-        "Delta records examined by the subscription triage pass.",
-    );
-    e.sample(
-        "mrq_subscription_deltas_triaged_total",
-        stats.subscriptions.deltas_triaged,
-    );
-    e.family(
-        "mrq_subscription_unaffected_skips_total",
-        "counter",
-        "Deltas certified unaffected without touching the index.",
-    );
-    e.sample(
-        "mrq_subscription_unaffected_skips_total",
-        stats.subscriptions.unaffected_skips,
-    );
-    e.family(
-        "mrq_subscription_partial_repairs_total",
-        "counter",
-        "Deltas resolved by an arithmetic rank shift.",
-    );
-    e.sample(
-        "mrq_subscription_partial_repairs_total",
-        stats.subscriptions.partial_repairs,
-    );
-    e.family(
-        "mrq_subscription_full_reevals_total",
-        "counter",
-        "Full re-evaluations forced by a delta crossing a resident region.",
-    );
-    e.sample(
-        "mrq_subscription_full_reevals_total",
-        stats.subscriptions.full_reevals,
-    );
-
-    // Overload control and exactly-once retries.
-    e.family(
-        "mrq_connections_shed_total",
-        "counter",
-        "Connections rejected at accept time with a retryable busy frame.",
-    );
-    e.sample(
-        "mrq_connections_shed_total",
-        stats.reliability.connections_shed,
-    );
-    e.family(
-        "mrq_idle_disconnects_total",
-        "counter",
-        "Connections cut for holding a partial frame past the idle timeout.",
-    );
-    e.sample(
-        "mrq_idle_disconnects_total",
-        stats.reliability.idle_disconnects,
-    );
-    e.family(
-        "mrq_update_dedup_hits_total",
-        "counter",
-        "Retried updates answered from the request-id dedup window.",
-    );
-    e.sample(
-        "mrq_update_dedup_hits_total",
-        stats.reliability.update_dedup_hits,
-    );
-    e.family(
-        "mrq_dataset_degraded",
-        "gauge",
-        "1 when the dataset is in degraded (read-only) mode after a storage failure.",
-    );
-    for name in &stats.datasets {
-        let degraded = stats.degraded.iter().any(|d| d == name);
-        e.dataset_sample("mrq_dataset_degraded", name, u64::from(degraded));
+    /// The value of an unlabelled family.
+    pub fn get(&self, name: &str) -> Option<u64> {
+        self.find(name, None)
     }
 
-    e.out
+    /// The value of a per-dataset family for one dataset.
+    pub fn get_for(&self, name: &str, dataset: &str) -> Option<u64> {
+        self.find(name, Some(dataset))
+    }
+
+    fn find(&self, name: &str, dataset: Option<&str>) -> Option<u64> {
+        self.families
+            .iter()
+            .find(|f| f.name == name)?
+            .samples
+            .iter()
+            .find(|(label, _)| label.as_deref() == dataset)
+            .map(|&(_, value)| value)
+    }
+
+    /// Every sample in document order as `(series, value, help)`, with the
+    /// series spelled as in the exposition text.
+    pub fn samples(&self) -> impl Iterator<Item = (String, u64, &str)> + '_ {
+        self.families.iter().flat_map(|family| {
+            family.samples.iter().map(move |(dataset, value)| {
+                let mut series = String::new();
+                write_series(&mut series, &family.name, dataset.as_deref());
+                (series, *value, family.help.as_str())
+            })
+        })
+    }
+}
+
+/// Splits one sample line into its family name, dataset label and value.
+fn parse_sample(line: &str) -> Result<(&str, Option<String>, u64), String> {
+    let bad = || format!("malformed sample line '{line}'");
+    let (series, value) = line.rsplit_once(' ').ok_or_else(bad)?;
+    let value = value.parse().map_err(|_| bad())?;
+    let Some((name, labels)) = series.split_once('{') else {
+        return Ok((series, None, value));
+    };
+    let escaped = labels
+        .strip_prefix("dataset=\"")
+        .and_then(|l| l.strip_suffix("\"}"))
+        .ok_or_else(bad)?;
+    let mut dataset = String::with_capacity(escaped.len());
+    let mut chars = escaped.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '\\' => match chars.next() {
+                Some('\\') => dataset.push('\\'),
+                Some('"') => dataset.push('"'),
+                Some('n') => dataset.push('\n'),
+                _ => return Err(bad()),
+            },
+            '"' => return Err(bad()),
+            c => dataset.push(c),
+        }
+    }
+    Ok((name, Some(dataset), value))
 }
 
 /// How often a blocked scrape read re-checks the shutdown flag, and the
@@ -658,6 +796,57 @@ mod tests {
             text.contains("mrq_dataset_queries_total{dataset=\"we\\\"ird\\\\name\\n\"} 10"),
             "{text}"
         );
+    }
+
+    #[test]
+    fn parse_inverts_render() {
+        let mut stats = synthetic_stats();
+        let odd = "we\"ird\\name\n} 7";
+        stats.per_dataset[0].dataset = odd.into();
+        let text = render_metrics(&stats);
+        let snapshot = MetricsSnapshot::parse(&text).unwrap();
+        assert_eq!(snapshot.families, families(&stats));
+        assert_eq!(render(&snapshot.families), text);
+        assert_eq!(snapshot.get_for("mrq_dataset_queries_total", odd), Some(10));
+        assert_eq!(snapshot.get("mrq_cache_hits_total"), Some(3));
+        assert_eq!(snapshot.get("mrq_dataset_queries_total"), None);
+        assert_eq!(snapshot.get("mrq_no_such_family"), None);
+    }
+
+    #[test]
+    fn samples_spell_series_as_the_exposition_does() {
+        let text = render_metrics(&synthetic_stats());
+        let snapshot = MetricsSnapshot::parse(&text).unwrap();
+        let samples: Vec<_> = snapshot.samples().collect();
+        assert_eq!(
+            samples.len(),
+            text.lines().filter(|l| !l.starts_with('#')).count()
+        );
+        for (series, value, help) in samples {
+            assert!(text.contains(&format!("\n{series} {value}\n")), "{series}");
+            let name = series.split('{').next().unwrap();
+            assert!(text.contains(&format!("# HELP {name} {help}\n")), "{name}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_malformed_text() {
+        let family = "# HELP mrq_x h\n# TYPE mrq_x counter\n";
+        for bad in [
+            "mrq_x 1\n".to_string(),
+            "# TYPE mrq_x counter\n".into(),
+            "# HELP mrq_x h\n# TYPE mrq_x histogram\n".into(),
+            "# HELP mrq_y h\n# TYPE mrq_x counter\n".into(),
+            format!("{family}mrq_y 1\n"),
+            format!("{family}mrq_x -1\n"),
+            format!("{family}mrq_x 1.5\n"),
+            format!("{family}mrq_x 18446744073709551616\n"),
+            format!("{family}mrq_x{{shard=\"a\"}} 1\n"),
+            format!("{family}mrq_x{{dataset=\"a\\q\"}} 1\n"),
+            format!("{family}mrq_x{{dataset=\"a\"b\"}} 1\n"),
+        ] {
+            assert!(MetricsSnapshot::parse(&bad).is_err(), "accepted: {bad:?}");
+        }
     }
 
     fn demo_service() -> Arc<MrqService> {

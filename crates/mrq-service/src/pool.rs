@@ -101,7 +101,7 @@ impl Default for PoolConfig {
     }
 }
 
-/// Counter snapshot reported by `STATS`.
+/// Counter snapshot exported through the `metrics` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Number of worker threads.

@@ -22,8 +22,7 @@
 //! {"cmd":"update","dataset":"hotels","insert":[[0.4,0.7,0.2,0.9]],"delete":[17]}
 //! {"cmd":"subscribe","dataset":"hotels","focal":17,"algorithm":"auto","tau":0}
 //! {"cmd":"unsubscribe","subscription":3}
-//! {"cmd":"stats"}   {"cmd":"list"}   {"cmd":"ping"}   {"cmd":"shutdown"}
-//! {"cmd":"metrics"}
+//! {"cmd":"metrics"}   {"cmd":"list"}   {"cmd":"ping"}   {"cmd":"shutdown"}
 //! ```
 //!
 //! Only `dataset` and `focal` are required for `query`; `max_regions` caps
@@ -57,7 +56,7 @@
 
 use crate::error::ServiceError;
 use crate::registry::UpdateOutcome;
-use crate::service::{QueryAnswer, ServiceStats};
+use crate::service::QueryAnswer;
 use crate::subscriptions::{NotifyEvent, NotifyKind, Subscription};
 use json::Json;
 use mrq_core::{Algorithm, MaxRankResult};
@@ -166,16 +165,15 @@ pub enum Request {
         /// Subscription id from the `subscribe` acknowledgement.
         subscription: u64,
     },
-    /// Cache / pool / registry counters.
-    Stats,
     /// Registered dataset names and shapes.
     List,
     /// Liveness probe.
     Ping,
     /// Ask the server to shut down gracefully.
     Shutdown,
-    /// Fetch the Prometheus-format metrics text (the protocol-level twin of
-    /// the `--metrics-port` HTTP endpoint).
+    /// Fetch every counter as Prometheus-format text (the protocol-level
+    /// twin of the `--metrics-port` HTTP endpoint).  `{"cmd":"stats"}`
+    /// parses to this verb too.
     Metrics,
 }
 
@@ -257,7 +255,6 @@ impl Request {
                 obj.push(("subscription".into(), Json::Num(*subscription as f64)));
                 "unsubscribe"
             }
-            Request::Stats => "stats",
             Request::List => "list",
             Request::Ping => "ping",
             Request::Shutdown => "shutdown",
@@ -275,11 +272,10 @@ impl Request {
             .and_then(Json::as_str)
             .ok_or("request needs a string 'cmd' field")?;
         match cmd {
-            "stats" => Ok(Request::Stats),
             "list" => Ok(Request::List),
             "ping" => Ok(Request::Ping),
             "shutdown" => Ok(Request::Shutdown),
-            "metrics" => Ok(Request::Metrics),
+            "metrics" | "stats" => Ok(Request::Metrics),
             "query" => {
                 let dataset = value
                     .get("dataset")
@@ -611,145 +607,6 @@ pub fn update_batch(inserts: &[Vec<f64>], deletes: &[RecordId]) -> Vec<Update> {
         .map(|row| Update::Insert(row.clone()))
         .chain(deletes.iter().map(|id| Update::Delete(*id)))
         .collect()
-}
-
-/// Renders a `stats` payload.
-pub fn stats_payload(stats: &ServiceStats) -> String {
-    let cache = Json::Obj(vec![
-        ("hits".into(), Json::Num(stats.cache.hits as f64)),
-        ("misses".into(), Json::Num(stats.cache.misses as f64)),
-        ("evictions".into(), Json::Num(stats.cache.evictions as f64)),
-        (
-            "evictions_stale".into(),
-            Json::Num(stats.cache.evictions_stale as f64),
-        ),
-        ("len".into(), Json::Num(stats.cache.len as f64)),
-        ("capacity".into(), Json::Num(stats.cache.capacity as f64)),
-    ]);
-    let pool = Json::Obj(vec![
-        ("workers".into(), Json::Num(stats.pool.workers as f64)),
-        (
-            "queue_capacity".into(),
-            Json::Num(stats.pool.queue_capacity as f64),
-        ),
-        (
-            "queue_depth".into(),
-            Json::Num(stats.pool.queue_depth as f64),
-        ),
-        ("executed".into(), Json::Num(stats.pool.executed as f64)),
-        ("coalesced".into(), Json::Num(stats.pool.coalesced as f64)),
-        ("timed_out".into(), Json::Num(stats.pool.timed_out as f64)),
-        (
-            "deadline_rejected".into(),
-            Json::Num(stats.pool.deadline_rejected as f64),
-        ),
-    ]);
-    let query_stats = Json::Arr(
-        stats
-            .per_dataset
-            .iter()
-            .map(|d| {
-                Json::Obj(vec![
-                    ("dataset".into(), Json::Str(d.dataset.clone())),
-                    ("queries".into(), Json::Num(d.queries as f64)),
-                    ("cache_hits".into(), Json::Num(d.cache_hits as f64)),
-                    ("cpu_us".into(), Json::Num(d.cpu_us as f64)),
-                    ("io_reads".into(), Json::Num(d.io_reads as f64)),
-                    ("cells_tested".into(), Json::Num(d.cells_tested as f64)),
-                    ("lp_calls".into(), Json::Num(d.lp_calls as f64)),
-                    ("witness_hits".into(), Json::Num(d.witness_hits as f64)),
-                ])
-            })
-            .collect(),
-    );
-    let d = &stats.durability;
-    let durability = Json::Obj(vec![
-        (
-            "durable_datasets".into(),
-            Json::Num(d.durable_datasets as f64),
-        ),
-        (
-            "recovered_datasets".into(),
-            Json::Num(d.recovered_datasets as f64),
-        ),
-        (
-            "wal_batches_replayed".into(),
-            Json::Num(d.wal_batches_replayed as f64),
-        ),
-        (
-            "torn_bytes_discarded".into(),
-            Json::Num(d.torn_bytes_discarded as f64),
-        ),
-        (
-            "recovery_pages_read".into(),
-            Json::Num(d.recovery_pages_read as f64),
-        ),
-        ("wal_appends".into(), Json::Num(d.wal_appends as f64)),
-        (
-            "wal_appended_bytes".into(),
-            Json::Num(d.wal_appended_bytes as f64),
-        ),
-        ("checkpoints".into(), Json::Num(d.checkpoints as f64)),
-    ]);
-    let s = &stats.subscriptions;
-    let subscriptions = Json::Obj(vec![
-        ("active".into(), Json::Num(s.active as f64)),
-        ("deltas_triaged".into(), Json::Num(s.deltas_triaged as f64)),
-        (
-            "unaffected_skips".into(),
-            Json::Num(s.unaffected_skips as f64),
-        ),
-        (
-            "partial_repairs".into(),
-            Json::Num(s.partial_repairs as f64),
-        ),
-        ("full_reevals".into(), Json::Num(s.full_reevals as f64)),
-    ]);
-    let r = &stats.reliability;
-    let reliability = Json::Obj(vec![
-        (
-            "connections_shed".into(),
-            Json::Num(r.connections_shed as f64),
-        ),
-        (
-            "idle_disconnects".into(),
-            Json::Num(r.idle_disconnects as f64),
-        ),
-        (
-            "update_dedup_hits".into(),
-            Json::Num(r.update_dedup_hits as f64),
-        ),
-    ]);
-    Json::Obj(vec![
-        ("ok".into(), Json::Bool(true)),
-        ("cache".into(), cache),
-        ("pool".into(), pool),
-        (
-            "datasets".into(),
-            Json::Arr(
-                stats
-                    .datasets
-                    .iter()
-                    .map(|n| Json::Str(n.clone()))
-                    .collect(),
-            ),
-        ),
-        ("query_stats".into(), query_stats),
-        ("durability".into(), durability),
-        ("subscriptions".into(), subscriptions),
-        ("reliability".into(), reliability),
-        (
-            "degraded".into(),
-            Json::Arr(
-                stats
-                    .degraded
-                    .iter()
-                    .map(|n| Json::Str(n.clone()))
-                    .collect(),
-            ),
-        ),
-    ])
-    .to_string()
 }
 
 /// Renders a `list` payload from `(name, records, dims)` triples.
@@ -1320,7 +1177,6 @@ mod tests {
                 tau: 0,
             },
             Request::Unsubscribe { subscription: 3 },
-            Request::Stats,
             Request::List,
             Request::Ping,
             Request::Shutdown,
@@ -1329,6 +1185,11 @@ mod tests {
         for req in requests {
             assert_eq!(Request::parse(&req.encode()).unwrap(), req);
         }
+        // `stats` is an alias of `metrics`.
+        assert_eq!(
+            Request::parse("{\"cmd\":\"stats\"}").unwrap(),
+            Request::Metrics
+        );
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! The result cache answers "how often did we skip work"; this module
 //! answers "what did the work we did cost, per dataset".  Workers fold every
 //! executed evaluation's [`mrq_core::QueryStats`] into a shared
-//! [`QueryStatsBook`]; the `STATS` verb reports the totals alongside the
+//! [`QueryStatsBook`]; the `metrics` verb reports the totals alongside the
 //! cache/pool counters, so a long-lived server exposes its workload mix
 //! (which datasets are hot, how much LP work the witness cache absorbs)
 //! without any per-request logging.
@@ -13,7 +13,7 @@ use mrq_core::QueryStats;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
 
-/// Cumulative totals for one dataset, as reported by the `STATS` verb.
+/// Cumulative totals for one dataset, as reported by the `metrics` verb.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DatasetQueryStats {
     /// Dataset name.

@@ -168,7 +168,7 @@ impl DurabilityBook {
     }
 }
 
-/// Point-in-time durability counters, surfaced through `STATS` (see
+/// Point-in-time durability counters, exported through `metrics` (see
 /// [`DatasetRegistry::durability_stats`]).  All zeros when no dataset was
 /// registered durably.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -822,7 +822,7 @@ impl DatasetRegistry {
     }
 
     /// The names of datasets currently in degraded read-only mode, sorted
-    /// (surfaced through `STATS` and the `mrq_dataset_degraded` gauge).
+    /// (exported as the `mrq_dataset_degraded` gauge).
     pub fn degraded_datasets(&self) -> Vec<String> {
         let mut names: Vec<String> = read_or_recover(&self.entries)
             .iter()

@@ -15,8 +15,8 @@
 use crate::error::ServiceError;
 use crate::protocol::{
     self, bye_payload, error_payload, list_payload, metrics_payload, notify_payload, pong_payload,
-    query_payload, stats_payload, subscribed_payload, unsubscribed_payload, update_batch,
-    update_payload, write_frame, Request,
+    query_payload, subscribed_payload, unsubscribed_payload, update_batch, update_payload,
+    write_frame, Request,
 };
 use crate::service::{MrqService, QueryRequest};
 use crate::subscriptions::NotifyMailbox;
@@ -397,9 +397,6 @@ fn serve_frames(
                 };
                 write_frame(&mut writer, &payload)?;
             }
-            Ok(Request::Stats) => {
-                write_frame(&mut writer, &stats_payload(&service.stats()))?;
-            }
             Ok(Request::Metrics) => {
                 let text = crate::metrics::render_metrics(&service.stats());
                 write_frame(&mut writer, &metrics_payload(&text))?;
@@ -640,6 +637,24 @@ mod tests {
         );
         assert!(answer.contains("\"k_star\":3"), "{answer}");
         assert!(answer.contains("\"ok\":true"));
+        server.shutdown();
+    }
+
+    #[test]
+    fn stats_and_metrics_verbs_answer_identically() {
+        let server = demo_server();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        roundtrip(
+            &mut stream,
+            "{\"cmd\":\"query\",\"dataset\":\"demo\",\"focal\":5}",
+        );
+        let stats = roundtrip(&mut stream, "{\"cmd\":\"stats\"}");
+        let metrics = roundtrip(&mut stream, "{\"cmd\":\"metrics\"}");
+        assert_eq!(stats, metrics);
+        assert!(
+            metrics.contains("\\nmrq_pool_jobs_executed_total 1\\n"),
+            "{metrics}"
+        );
         server.shutdown();
     }
 

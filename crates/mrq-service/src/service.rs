@@ -99,7 +99,7 @@ pub struct QueryAnswer {
     pub version: u64,
 }
 
-/// Combined counters for the `STATS` command.
+/// Combined counters: the snapshot [`crate::metrics::families`] reads.
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Result-cache counters.
@@ -124,8 +124,7 @@ pub struct ServiceStats {
     pub degraded: Vec<String>,
 }
 
-/// Point-in-time fault-tolerance counters, surfaced through `STATS` and
-/// `/metrics`.
+/// Point-in-time fault-tolerance counters, exported through `metrics`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReliabilityStats {
     /// Connections refused at accept time because the server was at its

@@ -152,7 +152,7 @@ impl Subscription {
     }
 }
 
-/// Counter snapshot reported by `STATS`.
+/// Counter snapshot exported through the `metrics` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SubscriptionStats {
     /// Currently registered subscriptions.

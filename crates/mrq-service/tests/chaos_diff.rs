@@ -24,8 +24,8 @@ use common::random_batch;
 use mrq_core::Algorithm;
 use mrq_data::{synthetic, Dataset, Distribution, Update};
 use mrq_service::{
-    Client, ClientError, DatasetRegistry, MrqService, RetryPolicy, Server, ServerConfig,
-    ServiceConfig,
+    Client, ClientError, DatasetRegistry, MetricsSnapshot, MrqService, RetryPolicy, Server,
+    ServerConfig, ServiceConfig,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::net::SocketAddr;
@@ -356,13 +356,11 @@ fn chaos_smoke_sheds_dedups_and_retries_under_a_minute() {
         }
         Err(other) => panic!("metrics scrape failed: {other}"),
     };
+    let snapshot = MetricsSnapshot::parse(&metrics).unwrap();
     let counter = |name: &str| -> u64 {
-        metrics
-            .lines()
-            .find_map(|l| l.strip_prefix(name).map(str::trim))
+        snapshot
+            .get(name)
             .unwrap_or_else(|| panic!("{name} missing from exposition:\n{metrics}"))
-            .parse()
-            .unwrap()
     };
     assert!(counter("mrq_connections_shed_total") > 0);
     assert!(counter("mrq_update_dedup_hits_total") > 0);

@@ -121,7 +121,7 @@ fn degrade_and_recover(mode: WalFailMode, tag: &str) {
         other => panic!("expected dataset degraded, got {other}"),
     }
 
-    // STATS and /metrics both expose the mode.
+    // The stats snapshot and /metrics both expose the mode.
     let stats = service.stats();
     assert_eq!(stats.degraded, vec![DATASET.to_string()]);
     let text = render_metrics(&stats);

@@ -103,21 +103,23 @@ fn concurrent_clients_agree_with_fresh_evaluation_and_hit_the_cache() {
     // Repeated-focal workload ⇒ the cache must have served real hits.
     let mut client = Client::connect(addr).unwrap();
     let stats = client.stats().unwrap();
+    let hits = stats.get("mrq_cache_hits_total").unwrap();
+    let misses = stats.get("mrq_cache_misses_total").unwrap();
     let total = (CLIENTS * QUERIES_PER_CLIENT) as u64;
-    assert_eq!(stats.cache.hits + stats.cache.misses, total);
+    assert_eq!(hits + misses, total);
     assert!(
-        stats.cache.hits > 0,
+        hits > 0,
         "repeated-focal workload must produce cache hits: {stats:?}"
     );
     // Only 6 distinct keys exist; concurrent clients may race to fill the
     // same key (both miss before either inserts), so misses can exceed 6 —
     // but the vast majority of this workload must still be cache-served.
     assert!(
-        stats.cache.hits >= total / 2,
+        hits >= total / 2,
         "a 6-key repeated workload should be mostly hits: {stats:?}"
     );
-    assert_eq!(stats.pool.executed, stats.cache.misses);
-    assert_eq!(stats.datasets, vec!["bench".to_string()]);
+    assert_eq!(stats.get("mrq_pool_jobs_executed_total"), Some(misses));
+    assert_eq!(client.list().unwrap(), vec![("bench".to_string(), 300, 3)]);
 
     // Cached answers still equal fresh evaluation (spot check).
     let reply = client.query("bench", FOCALS[0]).unwrap();

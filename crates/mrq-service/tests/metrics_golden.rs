@@ -11,8 +11,8 @@
 //! ```
 
 use mrq_service::{
-    render_metrics, CacheStats, DatasetQueryStats, DurabilityStats, PoolStats, ReliabilityStats,
-    ServiceStats, SubscriptionStats,
+    families, render_metrics, CacheStats, DatasetQueryStats, DurabilityStats, MetricsSnapshot,
+    PoolStats, ReliabilityStats, ServiceStats, SubscriptionStats,
 };
 use std::path::PathBuf;
 
@@ -115,5 +115,28 @@ fn metrics_text_matches_the_golden_file() {
          If the change is intentional, regenerate with MRQ_UPDATE_GOLDEN=1.\n\
          --- golden ---\n{golden}\n--- rendered ---\n{rendered}",
         path.display()
+    );
+}
+
+/// Parsing the rendered text recovers every family and sample exactly —
+/// including values past 2^53, where a JSON `f64` would round, and the
+/// escaped `hotels"eu"` label.
+#[test]
+fn parsing_the_exposition_recovers_every_sample_exactly() {
+    let stats = golden_stats();
+    let snapshot = MetricsSnapshot::parse(&render_metrics(&stats)).unwrap();
+    assert_eq!(snapshot.families, families(&stats));
+    assert_eq!(
+        snapshot.get("mrq_pool_jobs_executed_total"),
+        Some((1 << 53) + 1)
+    );
+    assert_eq!(snapshot.get("mrq_wal_appended_bytes_total"), Some(u64::MAX));
+    assert_eq!(
+        snapshot.get_for("mrq_dataset_queries_total", "hotels\"eu\""),
+        Some(7)
+    );
+    assert_eq!(
+        snapshot.get_for("mrq_dataset_degraded", "hotels\"eu\""),
+        Some(1)
     );
 }

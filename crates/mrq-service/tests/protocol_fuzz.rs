@@ -184,7 +184,7 @@ proptest! {
         prop_assert!(read_frame(&mut stream).unwrap().is_none(), "exactly one frame");
     }
 
-    /// All eight verbs survive encode → parse unchanged — both directly and
+    /// Every verb survives encode → parse unchanged — both directly and
     /// through the frame layer.
     #[test]
     fn every_verb_round_trips(
@@ -198,7 +198,7 @@ proptest! {
             update,
             subscribe,
             unsubscribe,
-            Request::Stats,
+            Request::Metrics,
             Request::List,
             Request::Ping,
             Request::Shutdown,

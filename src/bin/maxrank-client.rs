@@ -17,6 +17,9 @@
 //! answers with the dataset's new version and the ids assigned to the
 //! inserted rows; see `docs/PROTOCOL.md` for the wire format.
 //!
+//! `--stats` prints every counter sample as `series value<TAB># help`;
+//! `--metrics` prints the raw Prometheus text the same counters come from.
+//!
 //! `subscribe` registers a standing query and prints the initial result.
 //! With `--watch` it then blocks printing server-push `NOTIFY` lines as the
 //! maintained result changes; `--count N` exits after N notifications and
@@ -201,78 +204,11 @@ fn main() -> ExitCode {
     let outcome = if args.ping {
         client.ping().map(|()| println!("pong"))
     } else if args.stats {
-        client.stats().map(|s| {
-            println!("datasets        : {}", s.datasets.join(", "));
-            println!(
-                "cache           : {} hits / {} misses / {} evictions ({}/{} entries)",
-                s.cache.hits, s.cache.misses, s.cache.evictions, s.cache.len, s.cache.capacity
-            );
-            println!(
-                "pool            : {} workers, queue {}/{}",
-                s.pool.workers, s.pool.queue_depth, s.pool.queue_capacity
-            );
-            println!(
-                "jobs            : {} executed, {} coalesced, {} timed out, \
-                 {} deadline-rejected",
-                s.pool.executed, s.pool.coalesced, s.pool.timed_out, s.pool.deadline_rejected
-            );
-            // Absent on pre-subscription servers: the client defaults every
-            // counter to zero, so this line still prints.
-            let sub = &s.subscriptions;
-            println!(
-                "subscriptions   : {} active, {} deltas triaged \
-                 ({} unaffected_skips, {} partial_repairs, {} full_reevals)",
-                sub.active,
-                sub.deltas_triaged,
-                sub.unaffected_skips,
-                sub.partial_repairs,
-                sub.full_reevals
-            );
-            if s.durability.durable_datasets > 0 {
-                let d = &s.durability;
-                println!(
-                    "durability      : {} durable ({} recovered), {} WAL appends \
-                     ({} bytes), {} checkpoints",
-                    d.durable_datasets,
-                    d.recovered_datasets,
-                    d.wal_appends,
-                    d.wal_appended_bytes,
-                    d.checkpoints
-                );
-                if d.recovered_datasets > 0 {
-                    println!(
-                        "recovery        : {} batches replayed, {} torn bytes \
-                         discarded, {} pages read",
-                        d.wal_batches_replayed, d.torn_bytes_discarded, d.recovery_pages_read
-                    );
-                }
-            }
-            if !s.per_dataset.is_empty() {
-                println!("per-dataset query statistics:");
-                println!(
-                    "  {:<16} {:>8} {:>8} {:>12} {:>10} {:>10} {:>10} {:>12}",
-                    "dataset",
-                    "queries",
-                    "cached",
-                    "cpu_s",
-                    "io",
-                    "cells",
-                    "lp_calls",
-                    "witness_hits"
-                );
-                for d in &s.per_dataset {
-                    println!(
-                        "  {:<16} {:>8} {:>8} {:>12.4} {:>10} {:>10} {:>10} {:>12}",
-                        d.dataset,
-                        d.queries,
-                        d.cache_hits,
-                        d.cpu_us as f64 / 1e6,
-                        d.io_reads,
-                        d.cells_tested,
-                        d.lp_calls,
-                        d.witness_hits
-                    );
-                }
+        // One line per sample: the series and its value, then a tab and
+        // the family's help text.
+        client.stats().map(|snapshot| {
+            for (series, value, help) in snapshot.samples() {
+                println!("{series} {value}\t# {help}");
             }
         })
     } else if args.metrics {
