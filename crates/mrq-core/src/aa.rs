@@ -200,8 +200,7 @@ impl<'a> AaState<'a> {
                 MappedHalfSpace::AlwaysAbove => {
                     // Counts like a dominator; its dominees must still surface.
                     self.always_above += 1;
-                    let newly = self.skyline.expand(rid);
-                    queue.extend(newly.into_iter().map(|(id, _)| id));
+                    queue.extend(self.skyline.expand(rid).iter().map(|(id, _)| *id));
                 }
                 MappedHalfSpace::NeverAbove => {
                     // Never outranks the focal record; its dominees are
@@ -217,8 +216,8 @@ impl<'a> AaState<'a> {
     fn expand_halfspace(&mut self, hid: HalfSpaceId) {
         self.singular.insert(hid);
         let rid = self.registry.record(hid);
-        let newly = self.skyline.expand(rid);
-        self.insert_records(newly.into_iter().map(|(id, _)| id).collect());
+        let newly = self.skyline.expand(rid).iter().map(|(id, _)| *id).collect();
+        self.insert_records(newly);
     }
 }
 

@@ -319,7 +319,7 @@ pub fn run_point(
             let line = &mut sweep.lines[idx as usize];
             line.singular = true;
             let rid = line.record;
-            let newly: Vec<RecordId> = skyline.expand(rid).into_iter().map(|(id, _)| id).collect();
+            let newly: Vec<RecordId> = skyline.expand(rid).iter().map(|(id, _)| *id).collect();
             insert_records(data, p, &mut skyline, &mut sweep, &mut always_above, newly);
         }
     }
@@ -391,8 +391,7 @@ fn insert_records(
             HalfLine2d::AlwaysAbove => {
                 // Counts like a dominator; its dominees must still surface.
                 *always_above += 1;
-                let newly = skyline.expand(rid);
-                queue.extend(newly.into_iter().map(|(id, _)| id));
+                queue.extend(skyline.expand(rid).iter().map(|(id, _)| *id));
             }
             HalfLine2d::NeverAbove => {
                 // Never outranks the focal record; its dominees are contained

@@ -46,7 +46,7 @@ use mrq_geometry::{
     maximize_with, reduced_simplex_constraint, BoundingBox, HalfSpace, LpScratch, LpStatus, Region,
     FEASIBILITY_SLACK,
 };
-use mrq_quadtree::{HalfSpaceId, HalfSpaceQuadTree, LeafView};
+use mrq_quadtree::{HalfSpaceId, HalfSpaceQuadTree, LeafRef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -887,16 +887,20 @@ impl CellEnumerator {
     ) -> (Vec<ArrangementCell>, usize) {
         let threads = options.threads.max(1);
         let simplex = reduced_simplex_constraint(qt.reduced_dims() + 1);
-        let mut leaves = qt.leaves();
-        leaves.sort_by_key(|l| l.full.len());
+        // A fixed bound lets the walk skip whole subtrees; the stable sort
+        // keeps walk order among leaves of equal |F_l|.
+        let mut leaves: Vec<LeafRef<'_>> = qt.leaf_walk(hard_limit).collect();
+        leaves.sort_by_key(|l| l.full_len);
         let mut best = usize::MAX;
-        let mut out: Vec<ArrangementCell> = Vec::new();
+        // Emitted cells as (leaf node, |F_l|, cell): `F_l` is rebuilt only
+        // for the cells that survive the final bound.
+        let mut out: Vec<(usize, usize, FoundCell)> = Vec::new();
         // First pass: serve every leaf whose enumeration is already cached
         // with a sufficient Hamming-weight cap, in |F_l| order, so `best` is
         // as tight as the cache allows before any computation starts.
-        let mut todo: Vec<&LeafView> = Vec::new();
-        for leaf in &leaves {
-            let f = leaf.full.len();
+        let mut todo: Vec<LeafRef<'_>> = Vec::new();
+        for &leaf in &leaves {
+            let f = leaf.full_len;
             let cap = match hard_limit {
                 Some(l) => l,
                 None => best.saturating_add(tau),
@@ -913,14 +917,8 @@ impl CellEnumerator {
                         if c.p_order > max_weight {
                             continue;
                         }
-                        let order = f + c.p_order;
-                        best = best.min(order);
-                        out.push(ArrangementCell {
-                            order,
-                            full: leaf.full.clone(),
-                            inside_partial: c.inside.clone(),
-                            region: c.region.clone(),
-                        });
+                        best = best.min(f + c.p_order);
+                        out.push((leaf.node, f, c.clone()));
                     }
                 }
                 _ => todo.push(leaf),
@@ -940,7 +938,7 @@ impl CellEnumerator {
             loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 let Some(leaf) = todo.get(i) else { break };
-                let f = leaf.full.len();
+                let f = leaf.full_len;
                 let cap = match hard_limit {
                     Some(l) => l,
                     None => shared_best.load(Ordering::Relaxed).saturating_add(tau),
@@ -959,7 +957,7 @@ impl CellEnumerator {
                     .map(|&id| (id, qt.halfspace(id).clone()))
                     .collect();
                 let cells = process_leaf(
-                    &leaf.bounds,
+                    leaf.bounds,
                     &partial,
                     &simplex,
                     max_weight,
@@ -992,7 +990,7 @@ impl CellEnumerator {
         merged.sort_by_key(|(i, _, _)| *i);
         for (i, max_weight, cells) in merged {
             let leaf = todo[i];
-            let f = leaf.full.len();
+            let f = leaf.full_len;
             self.cache.insert(
                 (leaf.node, f, leaf.partial.len()),
                 CachedLeaf {
@@ -1001,22 +999,25 @@ impl CellEnumerator {
                 },
             );
             for c in cells {
-                let order = f + c.p_order;
-                best = best.min(order);
-                out.push(ArrangementCell {
-                    order,
-                    full: leaf.full.clone(),
-                    inside_partial: c.inside,
-                    region: c.region,
-                });
+                best = best.min(f + c.p_order);
+                out.push((leaf.node, f, c));
             }
         }
         let effective = match hard_limit {
             Some(l) => l,
             None => best.saturating_add(tau),
         };
-        out.retain(|c| c.order <= effective);
-        (out, effective)
+        let cells = out
+            .into_iter()
+            .filter(|(_, f, c)| f + c.p_order <= effective)
+            .map(|(node, f, c)| ArrangementCell {
+                order: f + c.p_order,
+                full: qt.full_containment(node),
+                inside_partial: c.inside,
+                region: c.region,
+            })
+            .collect();
+        (cells, effective)
     }
 }
 

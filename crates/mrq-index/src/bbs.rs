@@ -118,11 +118,11 @@ impl<'a> IncrementalSkyline<'a> {
 
     /// Expands a live skyline record: removes it from the skyline, flushes its
     /// deferral bucket, and returns the records that newly joined the skyline
-    /// as a consequence.
+    /// as a consequence, in the order they joined.
     ///
     /// # Panics
     /// Panics if `id` is not currently on the live skyline.
-    pub fn expand(&mut self, id: RecordId) -> Vec<(RecordId, Vec<f64>)> {
+    pub fn expand(&mut self, id: RecordId) -> &[(RecordId, Vec<f64>)] {
         let pos = self
             .skyline
             .iter()
@@ -135,13 +135,10 @@ impl<'a> IncrementalSkyline<'a> {
                 self.heap.push(item);
             }
         }
-        let before: Vec<RecordId> = self.skyline.iter().map(|(rid, _)| *rid).collect();
+        // `drain` only appends to the skyline, so the newcomers are its tail.
+        let before = self.skyline.len();
         self.drain();
-        self.skyline
-            .iter()
-            .filter(|(rid, _)| !before.contains(rid))
-            .cloned()
-            .collect()
+        &self.skyline[before..]
     }
 
     /// Pops heap entries until it is empty, maintaining the live skyline and
@@ -220,6 +217,22 @@ mod tests {
         assert_eq!(got, expected);
     }
 
+    /// Expands `id` and checks the returned newcomers against the
+    /// snapshot/filter definition: the records live after the expansion that
+    /// were not live before it, in skyline order.
+    fn expand_checked(sky: &mut IncrementalSkyline<'_>, id: RecordId) -> Vec<RecordId> {
+        let before: Vec<RecordId> = sky.skyline().iter().map(|(rid, _)| *rid).collect();
+        let got: Vec<RecordId> = sky.expand(id).iter().map(|(rid, _)| *rid).collect();
+        let expected: Vec<RecordId> = sky
+            .skyline()
+            .iter()
+            .map(|(rid, _)| *rid)
+            .filter(|rid| !before.contains(rid))
+            .collect();
+        assert_eq!(got, expected, "newcomers of expanding {id}");
+        got
+    }
+
     #[test]
     fn initial_skyline_matches_naive() {
         let mut rng = StdRng::seed_from_u64(11);
@@ -260,14 +273,11 @@ mod tests {
         assert_eq!(initial, vec![1, 2]);
         // Expanding record 1 surfaces 3 (dominated only by 1), but not 4
         // (dominated by 3, which is now live).
-        let new: Vec<RecordId> = sky.expand(1).iter().map(|(id, _)| *id).collect();
-        assert_eq!(new, vec![3]);
+        assert_eq!(expand_checked(&mut sky, 1), vec![3]);
         // Expanding 3 surfaces 4.
-        let new: Vec<RecordId> = sky.expand(3).iter().map(|(id, _)| *id).collect();
-        assert_eq!(new, vec![4]);
+        assert_eq!(expand_checked(&mut sky, 3), vec![4]);
         // Expanding 2 surfaces 5.
-        let new: Vec<RecordId> = sky.expand(2).iter().map(|(id, _)| *id).collect();
-        assert_eq!(new, vec![5]);
+        assert_eq!(expand_checked(&mut sky, 2), vec![5]);
         assert_eq!(sky.expanded(), &[1, 3, 2]);
     }
 
@@ -292,7 +302,7 @@ mod tests {
                 // round; guard against double expansion.
                 if sky.skyline().iter().any(|(rid, _)| *rid == id) {
                     seen.push(id);
-                    sky.expand(id);
+                    expand_checked(&mut sky, id);
                 }
             }
         }
@@ -319,7 +329,7 @@ mod tests {
             }
             for id in live {
                 if sky.skyline().iter().any(|(rid, _)| *rid == id) {
-                    sky.expand(id);
+                    expand_checked(&mut sky, id);
                 }
             }
         }

@@ -15,11 +15,14 @@
 //! exceeds a threshold; children that fall completely outside the permissible
 //! simplex (`Σ q_i < 1`) are discarded.
 //!
-//! For every leaf `l` the tree can report `F_l` (the union of the containment
-//! sets on the root-to-leaf path) and `P_l`; `|F_l|` is the lower bound on the
-//! order of every arrangement cell inside the leaf that drives BA's and AA's
-//! leaf pruning.
+//! The leaves are listed by a borrowing walk ([`HalfSpaceQuadTree::leaf_walk`])
+//! that yields each leaf's bounds, `|F_l|` and `P_l` without copying, and can
+//! skip every subtree whose containment count already exceeds a cap.  `|F_l|`
+//! is the lower bound on the order of every arrangement cell inside the leaf
+//! that drives BA's and AA's leaf pruning.  `F_l` itself (the union of the
+//! containment sets on the root-to-leaf path) is rebuilt from parent links
+//! only when a caller needs the ids ([`HalfSpaceQuadTree::full_containment`]).
 
 pub mod tree;
 
-pub use tree::{HalfSpaceId, HalfSpaceQuadTree, LeafView, QuadTreeConfig};
+pub use tree::{HalfSpaceId, HalfSpaceQuadTree, LeafRef, LeafWalk, QuadTreeConfig};

@@ -1,6 +1,7 @@
 //! Implementation of the augmented half-space quad-tree.
 
 use mrq_geometry::{reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace};
+use std::ops::Range;
 
 /// Identifier of a half-space stored in the tree (insertion order).
 pub type HalfSpaceId = u32;
@@ -36,31 +37,42 @@ impl QuadTreeConfig {
     }
 }
 
-/// A read-only view of one leaf, as consumed by the MaxRank algorithms.
-#[derive(Debug, Clone)]
-pub struct LeafView {
+/// A borrowed view of one leaf, as yielded by [`HalfSpaceQuadTree::leaf_walk`].
+///
+/// Nothing is copied: `F_l` is carried only as its size, and the ids are
+/// rebuilt on demand by [`HalfSpaceQuadTree::full_containment`].
+#[derive(Debug, Clone, Copy)]
+pub struct LeafRef<'a> {
     /// Index of the leaf node inside the tree (stable across insertions that
     /// do not split it).
     pub node: usize,
     /// The leaf's region.
-    pub bounds: BoundingBox,
-    /// `F_l`: ids of half-spaces fully containing the leaf (union over the
-    /// root-to-leaf path).
-    pub full: Vec<HalfSpaceId>,
+    pub bounds: &'a BoundingBox,
+    /// `|F_l|`: how many half-spaces fully contain the leaf.
+    pub full_len: usize,
     /// `P_l`: ids of half-spaces partially overlapping the leaf.
-    pub partial: Vec<HalfSpaceId>,
+    pub partial: &'a [HalfSpaceId],
 }
 
 #[derive(Debug, Clone)]
 enum NodeKind {
-    Leaf { partial: Vec<HalfSpaceId> },
-    Internal { children: Vec<usize> },
+    Leaf {
+        partial: Vec<HalfSpaceId>,
+    },
+    /// A split creates all of a node's children in one go, so their indices
+    /// are contiguous.
+    Internal {
+        children: Range<usize>,
+    },
 }
 
 #[derive(Debug, Clone)]
 struct QNode {
     bounds: BoundingBox,
     depth: usize,
+    /// Index of the parent node (`None` for the root); lets
+    /// `full_containment` walk a leaf's path without a stored copy of `F_l`.
+    parent: Option<usize>,
     /// Half-spaces fully containing this node but not its parent.
     containment: Vec<HalfSpaceId>,
     kind: NodeKind,
@@ -93,6 +105,7 @@ impl HalfSpaceQuadTree {
         let root = QNode {
             bounds: BoundingBox::unit(dr),
             depth: 0,
+            parent: None,
             containment: Vec::new(),
             kind: NodeKind::Leaf {
                 partial: Vec::new(),
@@ -188,7 +201,7 @@ impl HalfSpaceQuadTree {
             };
             (node.bounds.clone(), node.depth, partial)
         };
-        let mut children = Vec::new();
+        let first = self.nodes.len();
         for quadrant in bounds.quadrants() {
             // Drop quadrants completely outside Σ q_i < 1.
             if quadrant.relation_to(&self.simplex) == BoxRelation::Disjoint {
@@ -206,14 +219,15 @@ impl HalfSpaceQuadTree {
             let child = QNode {
                 bounds: quadrant,
                 depth: depth + 1,
+                parent: Some(node_idx),
                 containment,
                 kind: NodeKind::Leaf {
                     partial: child_partial,
                 },
             };
             self.nodes.push(child);
-            children.push(self.nodes.len() - 1);
         }
+        let children = first..self.nodes.len();
         self.nodes[node_idx].kind = NodeKind::Internal {
             children: children.clone(),
         };
@@ -232,43 +246,39 @@ impl HalfSpaceQuadTree {
         }
     }
 
-    /// Collects all leaves together with their `F_l` and `P_l` sets.
+    /// Walks the leaves in depth-first order, children in split order,
+    /// borrowing their bounds and `P_l` from the tree.
+    ///
+    /// With `cap = Some(c)` every subtree whose inherited containment count
+    /// already exceeds `c` is skipped: `|F_l|` only grows from parent to
+    /// child, so no leaf below it has `|F_l| ≤ c`.  The capped walk yields
+    /// exactly the leaves of the uncapped walk with `|F_l| ≤ c`, in the same
+    /// order.
     ///
     /// Leaves fully outside the permissible simplex never exist (discarded at
     /// split time); the root itself always straddles the simplex boundary and
     /// is therefore kept.
-    pub fn leaves(&self) -> Vec<LeafView> {
-        let mut out = Vec::new();
-        let mut inherited = Vec::new();
-        self.collect_leaves(self.root, &mut inherited, &mut out);
-        out
+    pub fn leaf_walk(&self, cap: Option<usize>) -> LeafWalk<'_> {
+        LeafWalk {
+            tree: self,
+            cap: cap.unwrap_or(usize::MAX),
+            stack: vec![(self.root, 0)],
+        }
     }
 
-    fn collect_leaves(
-        &self,
-        node_idx: usize,
-        inherited: &mut Vec<HalfSpaceId>,
-        out: &mut Vec<LeafView>,
-    ) {
-        let node = &self.nodes[node_idx];
-        let pushed = node.containment.len();
-        inherited.extend_from_slice(&node.containment);
-        match &node.kind {
-            NodeKind::Leaf { partial } => {
-                out.push(LeafView {
-                    node: node_idx,
-                    bounds: node.bounds.clone(),
-                    full: inherited.clone(),
-                    partial: partial.clone(),
-                });
-            }
-            NodeKind::Internal { children } => {
-                for &child in children {
-                    self.collect_leaves(child, inherited, out);
-                }
-            }
+    /// `F` of a node: the ids of the half-spaces fully containing it, as the
+    /// union of the containment sets on the root-to-node path, root first.
+    pub fn full_containment(&self, node: usize) -> Vec<HalfSpaceId> {
+        let mut path = Vec::new();
+        let mut at = Some(node);
+        while let Some(idx) = at {
+            path.push(idx);
+            at = self.nodes[idx].parent;
         }
-        inherited.truncate(inherited.len() - pushed);
+        path.iter()
+            .rev()
+            .flat_map(|&idx| self.nodes[idx].containment.iter().copied())
+            .collect()
     }
 
     /// For a single point of the reduced query space, the ids of all inserted
@@ -284,9 +294,48 @@ impl HalfSpaceQuadTree {
     }
 }
 
+/// Iterator over the leaves of a [`HalfSpaceQuadTree`]; see
+/// [`HalfSpaceQuadTree::leaf_walk`].
+#[derive(Debug)]
+pub struct LeafWalk<'a> {
+    tree: &'a HalfSpaceQuadTree,
+    cap: usize,
+    /// Nodes still to visit, each with the `|F|` of its parent.
+    stack: Vec<(usize, usize)>,
+}
+
+impl<'a> Iterator for LeafWalk<'a> {
+    type Item = LeafRef<'a>;
+
+    fn next(&mut self) -> Option<LeafRef<'a>> {
+        while let Some((idx, inherited)) = self.stack.pop() {
+            let node = &self.tree.nodes[idx];
+            let full_len = inherited + node.containment.len();
+            if full_len > self.cap {
+                continue;
+            }
+            match &node.kind {
+                NodeKind::Leaf { partial } => {
+                    return Some(LeafRef {
+                        node: idx,
+                        bounds: &node.bounds,
+                        full_len,
+                        partial,
+                    })
+                }
+                NodeKind::Internal { children } => self
+                    .stack
+                    .extend(children.clone().rev().map(|child| (child, full_len))),
+            }
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn hs(coeffs: &[f64], rhs: f64) -> HalfSpace {
         HalfSpace::new(coeffs.to_vec(), rhs)
@@ -297,9 +346,10 @@ mod tests {
         let t = HalfSpaceQuadTree::new(2);
         assert_eq!(t.node_count(), 1);
         assert_eq!(t.leaf_count(), 1);
-        let leaves = t.leaves();
+        let leaves: Vec<_> = t.leaf_walk(None).collect();
         assert_eq!(leaves.len(), 1);
-        assert!(leaves[0].full.is_empty());
+        assert_eq!(leaves[0].full_len, 0);
+        assert!(t.full_containment(leaves[0].node).is_empty());
         assert!(leaves[0].partial.is_empty());
         assert_eq!(t.reduced_dims(), 2);
     }
@@ -313,11 +363,13 @@ mod tests {
         let b = t.insert(hs(&[1.0, 0.0], 0.5));
         // Disjoint from the box.
         let c = t.insert(hs(&[1.0, 1.0], 5.0));
-        let leaves = t.leaves();
+        let leaves: Vec<_> = t.leaf_walk(None).collect();
         assert_eq!(leaves.len(), 1);
-        assert_eq!(leaves[0].full, vec![a]);
+        let full = t.full_containment(leaves[0].node);
+        assert_eq!(full, vec![a]);
+        assert_eq!(leaves[0].full_len, 1);
         assert_eq!(leaves[0].partial, vec![b]);
-        assert!(!leaves[0].full.contains(&c) && !leaves[0].partial.contains(&c));
+        assert!(!full.contains(&c) && !leaves[0].partial.contains(&c));
         assert_eq!(t.halfspace_count(), 3);
     }
 
@@ -340,9 +392,10 @@ mod tests {
         .map(|h| t.insert(h))
         .collect();
         assert!(t.leaf_count() > 1, "leaf must have split");
-        for leaf in t.leaves() {
+        for leaf in t.leaf_walk(None) {
+            let full = t.full_containment(leaf.node);
             // F_l and P_l are disjoint and never contain duplicates.
-            let mut all: Vec<_> = leaf.full.iter().chain(&leaf.partial).collect();
+            let mut all: Vec<_> = full.iter().chain(leaf.partial).collect();
             let before = all.len();
             all.sort_unstable();
             all.dedup();
@@ -352,13 +405,13 @@ mod tests {
                 assert!(ids.contains(id));
             }
             // Classification must be geometrically correct.
-            for &id in &leaf.full {
+            for &id in &full {
                 assert_eq!(
                     leaf.bounds.relation_to(t.halfspace(id)),
                     BoxRelation::Contained
                 );
             }
-            for &id in &leaf.partial {
+            for &id in leaf.partial {
                 assert_eq!(
                     leaf.bounds.relation_to(t.halfspace(id)),
                     BoxRelation::Overlapping
@@ -371,7 +424,8 @@ mod tests {
     fn leaf_sets_account_for_every_overlapping_halfspace() {
         // For any leaf and any inserted half-space: either the half-space is
         // in F_l, in P_l, disjoint from the leaf, or it contains the leaf via
-        // an ancestor (and is then still reported in F_l by `leaves`).
+        // an ancestor (and is then still reported in F_l by
+        // `full_containment`).
         let mut t = HalfSpaceQuadTree::with_config(
             3,
             QuadTreeConfig {
@@ -392,11 +446,13 @@ mod tests {
             let rhs = next() - 0.5;
             t.insert(HalfSpace::new(coeffs, rhs));
         }
-        for leaf in t.leaves() {
+        for leaf in t.leaf_walk(None) {
+            let full = t.full_containment(leaf.node);
+            assert_eq!(full.len(), leaf.full_len);
             for id in 0..t.halfspace_count() as HalfSpaceId {
                 let h = t.halfspace(id);
                 let rel = leaf.bounds.relation_to(h);
-                let in_full = leaf.full.contains(&id);
+                let in_full = full.contains(&id);
                 let in_partial = leaf.partial.contains(&id);
                 match rel {
                     BoxRelation::Contained => assert!(in_full && !in_partial),
@@ -422,7 +478,7 @@ mod tests {
         t.insert(hs(&[1.0, -1.0], 0.0));
         t.insert(hs(&[-1.0, 1.0], 0.0));
         assert!(t.leaf_count() > 1);
-        for leaf in t.leaves() {
+        for leaf in t.leaf_walk(None) {
             let lo_sum: f64 = leaf.bounds.lo.iter().sum();
             assert!(
                 lo_sum < 1.0 - 1e-9,
@@ -451,8 +507,7 @@ mod tests {
             ));
         }
         let max_depth_seen = t
-            .leaves()
-            .iter()
+            .leaf_walk(None)
             .map(|l| {
                 // Depth can be inferred from the side length (unit box halved
                 // per level).
@@ -479,5 +534,78 @@ mod tests {
             QuadTreeConfig::for_reduced_dims(1).max_depth
                 > QuadTreeConfig::for_reduced_dims(7).max_depth
         );
+    }
+
+    /// The reference `F_l`: the recursive walk that carries the union of the
+    /// containment sets down the root-to-leaf path, in walk order.
+    fn brute_force_leaves(t: &HalfSpaceQuadTree) -> Vec<(usize, Vec<HalfSpaceId>)> {
+        fn rec(
+            t: &HalfSpaceQuadTree,
+            idx: usize,
+            inherited: &[HalfSpaceId],
+            out: &mut Vec<(usize, Vec<HalfSpaceId>)>,
+        ) {
+            let node = &t.nodes[idx];
+            let full = [inherited, &node.containment].concat();
+            match &node.kind {
+                NodeKind::Leaf { .. } => out.push((idx, full)),
+                NodeKind::Internal { children } => {
+                    for child in children.clone() {
+                        rec(t, child, &full, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        rec(t, t.root, &[], &mut out);
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// For random insert sequences and caps, the capped walk yields
+        /// exactly the uncapped walk's leaves with `|F_l| ≤ cap`, in the same
+        /// order, and every leaf's rebuilt `F_l` equals the brute-force
+        /// root-to-leaf union of containment sets.
+        #[test]
+        fn capped_walk_and_rebuilt_full_sets_match_brute_force(
+            dr in 1usize..4,
+            threshold in 1usize..8,
+            specs in prop::collection::vec(
+                (prop::collection::vec(-1.0f64..1.0, 3), -0.8f64..0.8),
+                0..40,
+            ),
+            cap in 0usize..12,
+        ) {
+            let mut t = HalfSpaceQuadTree::with_config(
+                dr,
+                QuadTreeConfig { split_threshold: threshold, max_depth: 4 },
+            );
+            for (coeffs, rhs) in specs {
+                let coeffs = coeffs[..dr].to_vec();
+                if coeffs.iter().any(|c| c.abs() > 1e-6) {
+                    t.insert(HalfSpace::new(coeffs, rhs));
+                }
+            }
+            let reference = brute_force_leaves(&t);
+            let all: Vec<LeafRef<'_>> = t.leaf_walk(None).collect();
+            prop_assert_eq!(all.len(), t.leaf_count());
+            prop_assert_eq!(
+                all.iter().map(|l| l.node).collect::<Vec<_>>(),
+                reference.iter().map(|(node, _)| *node).collect::<Vec<_>>()
+            );
+            for (leaf, (_, full)) in all.iter().zip(&reference) {
+                prop_assert_eq!(leaf.full_len, full.len());
+                prop_assert_eq!(&t.full_containment(leaf.node), full);
+            }
+            let capped: Vec<usize> = t.leaf_walk(Some(cap)).map(|l| l.node).collect();
+            let filtered: Vec<usize> = all
+                .iter()
+                .filter(|l| l.full_len <= cap)
+                .map(|l| l.node)
+                .collect();
+            prop_assert_eq!(capped, filtered);
+        }
     }
 }

@@ -46,10 +46,11 @@ proptest! {
             let rhs = rng.gen::<f64>() - 0.5;
             qt.insert(HalfSpace::new(coeffs, rhs));
         }
-        for leaf in qt.leaves() {
+        for leaf in qt.leaf_walk(None) {
+            let full = qt.full_containment(leaf.node);
             for id in 0..qt.halfspace_count() as u32 {
                 let rel = leaf.bounds.relation_to(qt.halfspace(id));
-                let in_full = leaf.full.contains(&id);
+                let in_full = full.contains(&id);
                 let in_partial = leaf.partial.contains(&id);
                 match rel {
                     BoxRelation::Contained => prop_assert!(in_full && !in_partial),
@@ -74,14 +75,13 @@ proptest! {
         let direct = qt.containing_halfspaces(&point).len();
         // Find the leaf containing the point.
         let leaf = qt
-            .leaves()
-            .into_iter()
+            .leaf_walk(None)
             .find(|l| l.bounds.contains(&point))
             .expect("the leaves cover the unit box");
-        prop_assert!(leaf.full.len() <= direct);
-        prop_assert!(direct <= leaf.full.len() + leaf.partial.len());
+        prop_assert!(leaf.full_len <= direct);
+        prop_assert!(direct <= leaf.full_len + leaf.partial.len());
         // And every full-containment half-space really contains the point.
-        for id in &leaf.full {
+        for id in &qt.full_containment(leaf.node) {
             prop_assert!(qt.halfspace(*id).contains(&point) || qt.halfspace(*id).slack(&point) > -1e-9);
         }
     }
