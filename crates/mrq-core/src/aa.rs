@@ -36,7 +36,6 @@ use mrq_data::{Dataset, RecordId};
 use mrq_index::{IncrementalSkyline, RStarTree};
 use mrq_quadtree::{HalfSpaceId, HalfSpaceQuadTree, QuadTreeConfig};
 use std::collections::{BTreeSet, HashSet, VecDeque};
-use std::time::Instant;
 
 /// Runs AA for a focal record identified by id.
 pub fn run(
@@ -62,11 +61,6 @@ pub fn run_point(
     let d = data.dims();
     assert_eq!(p.len(), d);
     assert!(d >= 2);
-    let start = Instant::now();
-    // Delta-based accounting: no reset, so concurrent queries sharing this
-    // tree cannot zero each other's counter mid-flight (they may still
-    // inflate each other's delta; see IoStats).
-    let io_base = tree.io().reads();
     let mut stats = QueryStats::default();
 
     let dominators = tree.count_dominators(p, focal_id) as usize;
@@ -92,8 +86,6 @@ pub fn run_point(
 
     let base = dominators + state.always_above;
     if state.qt.halfspace_count() == 0 {
-        stats.io_reads = tree.io().reads().saturating_sub(io_base);
-        stats.cpu_time = start.elapsed();
         stats.iterations = 1;
         return trivial_result(d, base, tau, stats);
     }
@@ -157,19 +149,15 @@ pub fn run_point(
     }
 
     let base = dominators + state.always_above;
-    stats.io_reads = tree.io().reads().saturating_sub(io_base);
     stats.halfspaces_inserted = state.registry.len();
     if final_cells.is_empty() {
-        stats.cpu_time = start.elapsed();
         return trivial_result(d, base, tau, stats);
     }
     let accurate: Vec<ArrangementCell> = final_cells
         .into_iter()
         .filter(|c| c.containing_ids().all(|id| state.singular.contains(&id)))
         .collect();
-    let mut result = build_result(d, base, tau, accurate, &state.registry, stats);
-    result.stats.cpu_time = start.elapsed();
-    result
+    build_result(d, base, tau, accurate, &state.registry, stats)
 }
 
 /// Mutable state of one AA evaluation.
@@ -224,7 +212,7 @@ impl<'a> AaState<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ba;
+    use crate::{ba, Algorithm, MaxRankConfig, MaxRankQuery};
     use mrq_data::{synthetic, Distribution};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -280,8 +268,12 @@ mod tests {
     fn aa_accesses_fewer_records_than_ba() {
         let (data, tree) = random_dataset(1200, 3, Distribution::Independent, 400);
         let focal = 11u32;
-        let aa = run(&data, &tree, focal, 0, &AlgoConfig::default());
-        let ba = ba::run(&data, &tree, focal, 0, &AlgoConfig::default());
+        let engine = MaxRankQuery::new(&data, &tree);
+        let aa = engine.evaluate(focal, &MaxRankConfig::new());
+        let ba = engine.evaluate(
+            focal,
+            &MaxRankConfig::new().with_algorithm(Algorithm::BasicApproach),
+        );
         assert_eq!(aa.k_star, ba.k_star);
         assert!(
             aa.stats.halfspaces_inserted < ba.stats.halfspaces_inserted / 2,

@@ -38,7 +38,6 @@ use mrq_data::{Dataset, RecordId};
 use mrq_geometry::{halfline_for_record, interval_region, HalfLine2d, EPS};
 use mrq_index::{IncrementalSkyline, RStarTree};
 use std::collections::VecDeque;
-use std::time::Instant;
 
 /// A half-line of the 1-d reduced query space: the set of `q_1` values where
 /// one incomparable record outranks the focal record.
@@ -211,11 +210,6 @@ pub fn run_point(
         "the specialised AA handles two-dimensional data"
     );
     assert_eq!(p.len(), 2);
-    let start = Instant::now();
-    // Delta-based accounting: no reset, so concurrent queries sharing this
-    // tree cannot zero each other's counter mid-flight (they may still
-    // inflate each other's delta; see IoStats).
-    let io_base = tree.io().reads();
     let mut stats = QueryStats::default();
 
     let dominators = tree.count_dominators(p, focal_id) as usize;
@@ -237,8 +231,6 @@ pub fn run_point(
     );
 
     if sweep.is_empty() {
-        stats.io_reads = tree.io().reads().saturating_sub(io_base);
-        stats.cpu_time = start.elapsed();
         stats.iterations = 1;
         return trivial_result(2, dominators + always_above, tau, stats);
     }
@@ -325,10 +317,8 @@ pub fn run_point(
     }
 
     let base = dominators + always_above;
-    stats.io_reads = tree.io().reads().saturating_sub(io_base);
     stats.halfspaces_inserted = sweep.lines.len();
     if final_intervals.is_empty() {
-        stats.cpu_time = start.elapsed();
         return trivial_result(2, base, tau, stats);
     }
     let min_order = final_intervals
@@ -353,7 +343,6 @@ pub fn run_point(
             }
         })
         .collect();
-    stats.cpu_time = start.elapsed();
     MaxRankResult {
         dims: 2,
         k_star: base + min_order + 1,
@@ -404,7 +393,7 @@ fn insert_records(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fca;
+    use crate::{fca, Algorithm, MaxRankConfig, MaxRankQuery};
     use mrq_data::{synthetic, Distribution};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -553,8 +542,9 @@ mod tests {
             })
             .map(|(id, _)| id)
             .unwrap();
-        let aa = run(&data, &tree, focal, 0, &AlgoConfig::default());
-        let fca = fca::run(&data, &tree, focal, 0);
+        let engine = MaxRankQuery::new(&data, &tree);
+        let aa = engine.evaluate(focal, &MaxRankConfig::new());
+        let fca = engine.evaluate(focal, &MaxRankConfig::new().with_algorithm(Algorithm::Fca));
         assert_eq!(aa.k_star, fca.k_star);
         assert!(
             aa.stats.halfspaces_inserted < fca.stats.halfspaces_inserted / 5,

@@ -15,7 +15,6 @@ use crate::withinleaf::enumerate_cells;
 use mrq_data::{Dataset, RecordId};
 use mrq_index::RStarTree;
 use mrq_quadtree::{HalfSpaceQuadTree, QuadTreeConfig};
-use std::time::Instant;
 
 /// Tuning knobs shared by BA and AA.
 #[derive(Debug, Clone, Copy)]
@@ -82,11 +81,6 @@ pub fn run_point(
     let d = data.dims();
     assert_eq!(p.len(), d);
     assert!(d >= 2);
-    let start = Instant::now();
-    // Delta-based accounting: no reset, so concurrent queries sharing this
-    // tree cannot zero each other's counter mid-flight (they may still
-    // inflate each other's delta; see IoStats).
-    let io_base = tree.io().reads();
     let mut stats = QueryStats {
         iterations: 1,
         ..QueryStats::default()
@@ -118,16 +112,11 @@ pub fn run_point(
     let base = dominators + always_above;
 
     if qt.halfspace_count() == 0 {
-        stats.io_reads = tree.io().reads().saturating_sub(io_base);
-        stats.cpu_time = start.elapsed();
         return trivial_result(d, base, tau, stats);
     }
 
     let (cells, _) = enumerate_cells(&qt, None, tau, &config.cell_enum_options(), &mut stats);
-    stats.io_reads = tree.io().reads().saturating_sub(io_base);
-    let mut result = build_result(d, base, tau, cells, &registry, stats);
-    result.stats.cpu_time = start.elapsed();
-    result
+    build_result(d, base, tau, cells, &registry, stats)
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use crate::result::{MaxRankResult, QueryStats, ResultRegion};
 use mrq_data::{Dataset, RecordId};
 use mrq_geometry::{halfline_for_record, interval_region, HalfLine2d, EPS};
 use mrq_index::RStarTree;
-use std::time::Instant;
 
 /// Runs FCA for a focal record identified by id.
 pub fn run(data: &Dataset, tree: &RStarTree, focal_id: RecordId, tau: usize) -> MaxRankResult {
@@ -39,11 +38,6 @@ pub fn run_point(
         "FCA is defined for two-dimensional data only"
     );
     assert_eq!(p.len(), 2);
-    let start = Instant::now();
-    // Delta-based accounting: no reset, so concurrent queries sharing this
-    // tree cannot zero each other's counter mid-flight (they may still
-    // inflate each other's delta; see IoStats).
-    let io_base = tree.io().reads();
     let mut stats = QueryStats::default();
 
     let dominators = tree.count_dominators(p, focal_id) as usize;
@@ -75,8 +69,6 @@ pub fn run_point(
 
     let base = dominators + always_above;
     if events.is_empty() {
-        stats.io_reads = tree.io().reads().saturating_sub(io_base);
-        stats.cpu_time = start.elapsed();
         stats.iterations = 1;
         // The order is the same everywhere: base + initial (initial == 0 here).
         return crate::common::trivial_result(2, base, tau, stats);
@@ -128,8 +120,6 @@ pub fn run_point(
         });
     }
 
-    stats.io_reads = tree.io().reads().saturating_sub(io_base);
-    stats.cpu_time = start.elapsed();
     stats.iterations = 1;
     stats.cells_tested = orders.len();
 
@@ -145,6 +135,7 @@ pub fn run_point(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Algorithm, MaxRankConfig, MaxRankQuery};
 
     fn figure1() -> (Dataset, RStarTree) {
         let data = Dataset::from_rows(
@@ -229,7 +220,8 @@ mod tests {
     #[test]
     fn stats_populated() {
         let (data, tree) = figure1();
-        let res = run(&data, &tree, 5, 0);
+        let config = MaxRankConfig::new().with_algorithm(Algorithm::Fca);
+        let res = MaxRankQuery::new(&data, &tree).evaluate(5, &config);
         assert!(res.stats.io_reads > 0);
         assert_eq!(res.stats.dominators, 1);
         assert_eq!(res.stats.halfspaces_inserted, 3);

@@ -31,7 +31,6 @@
 pub mod aa;
 pub mod aa2d;
 pub mod ba;
-pub mod batch;
 pub(crate) mod common;
 pub mod fca;
 pub mod maintain;
@@ -41,7 +40,6 @@ pub mod result;
 pub mod reverse_topk;
 pub mod withinleaf;
 
-pub use batch::{evaluate_batch, most_promotable};
 pub use maintain::{classify_delta, shift_result, triage_delete, triage_insert};
 pub use maintain::{DeltaClass, DeltaTriage};
 pub use query::{Algorithm, MaxRankConfig, MaxRankQuery};

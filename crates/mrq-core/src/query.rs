@@ -4,8 +4,9 @@ use crate::ba::AlgoConfig;
 use crate::result::MaxRankResult;
 use crate::{aa, aa2d, ba, fca};
 use mrq_data::{Dataset, RecordId};
-use mrq_index::RStarTree;
+use mrq_index::{count_reads, RStarTree};
 use mrq_quadtree::QuadTreeConfig;
+use std::time::Instant;
 
 /// Which algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -166,16 +167,25 @@ impl<'a> MaxRankQuery<'a> {
         self.dispatch(p, None, config)
     }
 
+    /// Runs the selected algorithm and charges it the wall-clock time and
+    /// the page reads of the calling thread (every R\*-tree read of an
+    /// evaluation happens on this thread).
     fn dispatch(
         &self,
         p: &[f64],
         focal_id: Option<RecordId>,
         config: &MaxRankConfig,
     ) -> MaxRankResult {
-        let d = self.data.dims();
-        let algo = config.algorithm.resolve(d);
+        let start = Instant::now();
+        let (mut result, io_reads) = count_reads(|| self.run(p, focal_id, config));
+        result.stats.io_reads = io_reads;
+        result.stats.cpu_time = start.elapsed();
+        result
+    }
+
+    fn run(&self, p: &[f64], focal_id: Option<RecordId>, config: &MaxRankConfig) -> MaxRankResult {
         let ac = config.algo_config();
-        match algo {
+        match config.algorithm.resolve(self.data.dims()) {
             Algorithm::Fca => fca::run_point(self.data, self.tree, p, focal_id, config.tau),
             Algorithm::BasicApproach => {
                 ba::run_point(self.data, self.tree, p, focal_id, config.tau, &ac)
@@ -240,6 +250,33 @@ mod tests {
             let q = region.representative_query();
             assert_eq!(data.order_of(&[0.7, 0.2, 0.6], &q), region.order);
         }
+    }
+
+    #[test]
+    fn concurrent_evaluations_are_charged_their_own_page_reads() {
+        let mut rng = StdRng::seed_from_u64(6);
+        let data = synthetic::generate(Distribution::Independent, 400, 3, &mut rng);
+        let tree = RStarTree::bulk_load(&data);
+        let engine = MaxRankQuery::new(&data, &tree);
+        let config = MaxRankConfig::new();
+        let focals: Vec<RecordId> = (0..40).map(|i| i * 7).collect();
+        let sequential: Vec<u64> = focals
+            .iter()
+            .map(|&f| engine.evaluate(f, &config).stats.io_reads)
+            .collect();
+        assert!(sequential.iter().all(|&io| io > 0));
+        // Four evaluating threads on one tree, each also sharding its cell
+        // enumeration over two more.
+        let sharded = config.with_threads(2);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    for (&f, &io) in focals.iter().zip(&sequential) {
+                        assert_eq!(engine.evaluate(f, &sharded).stats.io_reads, io);
+                    }
+                });
+            }
+        });
     }
 
     #[test]

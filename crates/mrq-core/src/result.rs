@@ -35,9 +35,14 @@ impl ResultRegion {
 /// counters that the ablation experiments report.
 #[derive(Debug, Clone, Default)]
 pub struct QueryStats {
-    /// Wall-clock time spent in the algorithm (index building excluded).
+    /// Wall-clock time of [`MaxRankQuery::evaluate`](crate::MaxRankQuery::evaluate)
+    /// (index building excluded).  Zero when an algorithm module's `run` is
+    /// called directly.
     pub cpu_time: Duration,
-    /// Simulated page accesses charged to the R\*-tree during the query.
+    /// Simulated page accesses charged to the R\*-tree during
+    /// [`MaxRankQuery::evaluate`](crate::MaxRankQuery::evaluate) (see
+    /// [`mrq_index::iostats`]).  Zero when an algorithm module's `run` is
+    /// called directly.
     pub io_reads: u64,
     /// Number of dominators of the focal record (`|D+|`).
     pub dominators: usize,

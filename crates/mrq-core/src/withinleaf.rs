@@ -40,7 +40,6 @@
 //! cell (plus `τ` further weights for iMaxRank), and never exceeds the
 //! caller-provided cap derived from the best order found so far.
 
-use crate::batch::scatter;
 use crate::result::QueryStats;
 use mrq_geometry::{
     maximize_with, reduced_simplex_constraint, BoundingBox, HalfSpace, LpScratch, LpStatus, Region,
@@ -1059,6 +1058,29 @@ fn for_each_combination<F: FnMut(&[usize])>(n: usize, k: usize, mut f: F) {
     }
 }
 
+/// Runs `worker(shard)` on `threads` scoped threads and returns the per-shard
+/// outputs in shard order.  `threads = 1` runs inline with no thread spawned.
+fn scatter<R, F>(threads: usize, worker: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    assert!(threads >= 1, "at least one shard is required");
+    if threads == 1 {
+        return vec![worker(0)];
+    }
+    std::thread::scope(|scope| {
+        let worker = &worker;
+        let handles: Vec<_> = (0..threads)
+            .map(|shard| scope.spawn(move || worker(shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard worker panicked"))
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1572,5 +1594,13 @@ mod tests {
         let mut stats = QueryStats::default();
         let (cells, _) = enumerate_cells(&qt, None, 0, &opts(), &mut stats);
         assert!(cells.iter().all(|c| c.order == 0));
+    }
+
+    #[test]
+    fn scatter_collects_in_shard_order() {
+        let outputs = scatter(4, |shard| shard * 10);
+        assert_eq!(outputs, vec![0, 10, 20, 30]);
+        // The single-shard path runs inline.
+        assert_eq!(scatter(1, |shard| shard), vec![0]);
     }
 }

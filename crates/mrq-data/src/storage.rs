@@ -47,7 +47,7 @@
 //!
 //! # Real I/O versus the simulated cost model
 //!
-//! The per-query `io_reads` counters (`mrq_index::IoStats`) implement the
+//! The per-query `io_reads` counters (`mrq_index::iostats`) implement the
 //! paper's *simulated* page-access model — nothing is actually paged.  The
 //! byte and page counts reported here ([`RecoveryReport`]) are the opposite:
 //! they count bytes genuinely read from disk during recovery, converted to

@@ -20,6 +20,7 @@
 //! out: the structure maintains the skyline of the *incomparable* records
 //! only, which is exactly what AA consumes.
 
+use crate::iostats::record_read;
 use crate::rstar::{Child, RStarTree};
 use mrq_data::RecordId;
 use std::collections::BinaryHeap;
@@ -69,8 +70,6 @@ pub struct IncrementalSkyline<'a> {
     buckets: HashMap<RecordId, Vec<HeapItem>>,
     /// Records that have been expanded (removed from the skyline for good).
     expanded: Vec<RecordId>,
-    /// Number of record (not node) accesses, for instrumentation.
-    records_seen: u64,
 }
 
 impl<'a> IncrementalSkyline<'a> {
@@ -86,7 +85,6 @@ impl<'a> IncrementalSkyline<'a> {
             skyline: Vec::new(),
             buckets: HashMap::new(),
             expanded: Vec::new(),
-            records_seen: 0,
         };
         if !tree.is_empty() {
             let root_entry_mbr = tree.bounding_box().expect("non-empty tree has an MBR");
@@ -109,11 +107,6 @@ impl<'a> IncrementalSkyline<'a> {
     /// Records expanded so far, in expansion order.
     pub fn expanded(&self) -> &[RecordId] {
         &self.expanded
-    }
-
-    /// Number of data records popped from the heap so far.
-    pub fn records_seen(&self) -> u64 {
-        self.records_seen
     }
 
     /// Expands a live skyline record: removes it from the skyline, flushes its
@@ -165,7 +158,6 @@ impl<'a> IncrementalSkyline<'a> {
             }
             match item.child {
                 Child::Record(id) => {
-                    self.records_seen += 1;
                     if Some(id) == self.focal_id {
                         continue;
                     }
@@ -175,7 +167,7 @@ impl<'a> IncrementalSkyline<'a> {
                     self.skyline.push((id, item.corner));
                 }
                 Child::Node(node_idx) => {
-                    self.tree.io().record_read();
+                    record_read();
                     let node = &self.tree.nodes[node_idx as usize];
                     for e in &node.entries {
                         self.heap.push(HeapItem {
@@ -202,6 +194,7 @@ fn dominates_weakly(a: &[f64], b: &[f64]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::count_reads;
     use mrq_data::{naive_skyline, partition_by_focal, synthetic, Dataset, Distribution};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -319,24 +312,24 @@ mod tests {
         let data = synthetic::generate(Distribution::Independent, 2000, 3, &mut rng);
         let tree = RStarTree::bulk_load(&data);
         let p = data.record(7).to_vec();
-        tree.reset_io();
-        let mut sky = IncrementalSkyline::new(&tree, &p, Some(7));
-        // Expand everything.
-        loop {
-            let live: Vec<RecordId> = sky.skyline().iter().map(|(id, _)| *id).collect();
-            if live.is_empty() {
-                break;
-            }
-            for id in live {
-                if sky.skyline().iter().any(|(rid, _)| *rid == id) {
-                    expand_checked(&mut sky, id);
+        let ((), reads) = count_reads(|| {
+            let mut sky = IncrementalSkyline::new(&tree, &p, Some(7));
+            // Expand everything.
+            loop {
+                let live: Vec<RecordId> = sky.skyline().iter().map(|(id, _)| *id).collect();
+                if live.is_empty() {
+                    break;
+                }
+                for id in live {
+                    if sky.skyline().iter().any(|(rid, _)| *rid == id) {
+                        expand_checked(&mut sky, id);
+                    }
                 }
             }
-        }
+        });
         assert!(
-            tree.io().reads() <= tree.node_count() as u64,
-            "every node must be read at most once ({} reads, {} nodes)",
-            tree.io().reads(),
+            reads <= tree.node_count() as u64,
+            "every node must be read at most once ({reads} reads, {} nodes)",
             tree.node_count()
         );
     }
@@ -346,7 +339,6 @@ mod tests {
         let tree = RStarTree::new(2);
         let sky = IncrementalSkyline::new(&tree, &[0.5, 0.5], None);
         assert!(sky.skyline().is_empty());
-        assert_eq!(sky.records_seen(), 0);
     }
 
     #[test]
@@ -357,12 +349,8 @@ mod tests {
         let data = synthetic::generate(Distribution::Correlated, 5000, 4, &mut rng);
         let tree = RStarTree::bulk_load(&data);
         let p = data.record(11).to_vec();
-        tree.reset_io();
-        let _sky = IncrementalSkyline::new(&tree, &p, Some(11));
-        let skyline_io = tree.io().reads();
-        tree.reset_io();
-        let _ = tree.incomparable_ids(&p, Some(11));
-        let scan_io = tree.io().reads();
+        let (_, skyline_io) = count_reads(|| IncrementalSkyline::new(&tree, &p, Some(11)));
+        let (_, scan_io) = count_reads(|| tree.incomparable_ids(&p, Some(11)));
         assert!(
             skyline_io < scan_io,
             "skyline I/O {skyline_io} should be below incomparable-scan I/O {scan_io}"

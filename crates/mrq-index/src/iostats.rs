@@ -3,7 +3,7 @@
 //! The evaluation of the paper measures I/O as the number of disk page
 //! accesses with a 4 KB page size, one R\*-tree node per page.  Algorithms in
 //! this workspace run in memory, so the counter simulates that cost model:
-//! every R\*-tree node *read* during a query increments the counter by one.
+//! every R\*-tree node *read* increments the counter by one.
 //!
 //! This is a **simulated** figure — nothing is actually paged in or out, and
 //! the counter is therefore independent of the durability layer.  The *real*
@@ -13,69 +13,34 @@
 //! through the service's `metrics` durability counters.  Keep the two apart
 //! when reading reports: `io_reads` reproduces the paper's cost model,
 //! `recovery_pages_read` measures disk traffic that genuinely happened.
+//!
+//! The counter is **per thread**, not per tree: a node read is charged to
+//! the thread that performs it, and [`count_reads`] reports what one closure
+//! charged.  All of a query's R\*-tree reads run on the thread that evaluates
+//! it (the parallel within-leaf enumeration works on the quad-tree only), so
+//! a query's figure is exact even while other threads read the same tree.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 /// The simulated disk page size, as in the paper's experimental setup.
 pub const PAGE_SIZE_BYTES: usize = 4096;
 
-/// A cheap interior-mutable I/O counter attached to an index.
-///
-/// Interior mutability keeps query methods `&self` (reads do not logically
-/// mutate the index).  The counter is a relaxed [`AtomicU64`] so a tree can be
-/// shared across threads (`RStarTree: Send + Sync`), which the serving layer
-/// relies on.  Note that the counter is *per tree*: the algorithms charge a
-/// query by snapshotting the counter and reporting the delta (never calling
-/// [`IoStats::reset`] on a shared tree), so when several queries run
-/// concurrently against one tree a query's `io_reads` can be *inflated* by
-/// its neighbours' page reads, but never zeroed mid-flight.  Figures are
-/// exact for non-overlapping queries — the bench harness runs
-/// single-threaded, and `evaluate_batch` clones the tree per worker,
-/// precisely to keep those numbers meaningful.
-#[derive(Debug, Default)]
-pub struct IoStats {
-    node_reads: AtomicU64,
+thread_local! {
+    static NODE_READS: Cell<u64> = const { Cell::new(0) };
 }
 
-impl Clone for IoStats {
-    fn clone(&self) -> Self {
-        Self {
-            node_reads: AtomicU64::new(self.reads()),
-        }
-    }
+/// Charges one node/page read to the calling thread.
+#[inline]
+pub(crate) fn record_read() {
+    NODE_READS.with(|reads| reads.set(reads.get() + 1));
 }
 
-impl IoStats {
-    /// Creates a zeroed counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one node/page read.
-    #[inline]
-    pub fn record_read(&self) {
-        self.node_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of node/page reads since the last reset.
-    #[inline]
-    pub fn reads(&self) -> u64 {
-        self.node_reads.load(Ordering::Relaxed)
-    }
-
-    /// Folds `reads` page reads into the counter at once.  Used to merge the
-    /// deltas accumulated by per-worker tree clones back into the shared
-    /// tree's counter, so aggregate accounting survives the cloning that
-    /// keeps per-query figures exact (see `mrq_core::evaluate_batch`).
-    #[inline]
-    pub fn add(&self, reads: u64) {
-        self.node_reads.fetch_add(reads, Ordering::Relaxed);
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.node_reads.store(0, Ordering::Relaxed);
-    }
+/// Runs `f` and returns its output together with the number of node/page
+/// reads it charged to the calling thread.
+pub fn count_reads<R>(f: impl FnOnce() -> R) -> (R, u64) {
+    let before = NODE_READS.with(Cell::get);
+    let out = f();
+    (out, NODE_READS.with(Cell::get) - before)
 }
 
 #[cfg(test)]
@@ -83,50 +48,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counts_and_resets() {
-        let io = IoStats::new();
-        assert_eq!(io.reads(), 0);
-        io.record_read();
-        io.record_read();
-        assert_eq!(io.reads(), 2);
-        io.reset();
-        assert_eq!(io.reads(), 0);
-    }
-
-    #[test]
-    fn add_merges_deltas() {
-        let io = IoStats::new();
-        io.record_read();
-        let clone = io.clone();
-        clone.record_read();
-        clone.record_read();
-        io.add(clone.reads() - io.reads());
-        assert_eq!(io.reads(), 3);
-    }
-
-    #[test]
-    fn clone_snapshots_the_count() {
-        let io = IoStats::new();
-        io.record_read();
-        let copy = io.clone();
-        io.record_read();
-        assert_eq!(copy.reads(), 1);
-        assert_eq!(io.reads(), 2);
-    }
-
-    #[test]
-    fn counter_is_shareable_across_threads() {
-        let io = IoStats::new();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..1000 {
-                        io.record_read();
-                    }
-                });
-            }
+    fn counts_the_reads_of_the_closure() {
+        let ((), outer) = count_reads(|| {
+            record_read();
+            let ((), inner) = count_reads(|| {
+                record_read();
+                record_read();
+            });
+            assert_eq!(inner, 2);
         });
-        assert_eq!(io.reads(), 4000);
+        assert_eq!(outer, 3);
+    }
+
+    #[test]
+    fn other_threads_are_not_charged() {
+        let ((), reads) = count_reads(|| {
+            record_read();
+            std::thread::scope(|scope| {
+                for _ in 0..4 {
+                    scope.spawn(|| {
+                        let ((), own) = count_reads(|| (0..1000).for_each(|_| record_read()));
+                        assert_eq!(own, 1000);
+                    });
+                }
+            });
+        });
+        assert_eq!(reads, 1);
     }
 
     #[test]

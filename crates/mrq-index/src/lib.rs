@@ -13,7 +13,7 @@
 //!   that AA's implicit-subsumption strategy relies on (paper §6.2),
 //! * [`topk`] — top-k evaluation over the index (best-first search) and
 //!   rank/order counting used by oracles and the appendix experiment,
-//! * [`iostats`] — the shared page-access counter.
+//! * [`iostats`] — the per-thread page-access counter.
 
 #![warn(missing_docs)]
 
@@ -24,7 +24,7 @@ pub mod skyband;
 pub mod topk;
 
 pub use bbs::IncrementalSkyline;
-pub use iostats::{IoStats, PAGE_SIZE_BYTES};
+pub use iostats::{count_reads, PAGE_SIZE_BYTES};
 pub use rstar::{RStarConfig, RStarTree};
 pub use skyband::{k_skyband, k_skyband_incomparable};
 pub use topk::{order_of, top_k, TopKResult};

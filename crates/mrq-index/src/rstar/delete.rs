@@ -12,11 +12,13 @@
 //! Freed node slots go on the arena free list and are reused by later
 //! allocations, so a workload of balanced inserts and deletes does not grow
 //! the arena without bound.  Like insertion and the queries, the
-//! root-to-leaf search is charged to [`IoStats`](crate::iostats::IoStats) (one read
-//! per node visited, including the dead ends of the containment search).
+//! root-to-leaf search is charged to the page counter of [`crate::iostats`]
+//! (one read per node visited, including the dead ends of the containment
+//! search).
 
 use super::node::{Child, Entry};
 use super::RStarTree;
+use crate::iostats::record_read;
 use mrq_data::RecordId;
 
 impl RStarTree {
@@ -51,7 +53,7 @@ impl RStarTree {
     /// recording the root-to-leaf path.  Returns `false` (with `path`
     /// rolled back) when the record is not in this subtree.
     fn find_leaf(&self, idx: usize, id: RecordId, point: &[f64], path: &mut Vec<usize>) -> bool {
-        self.io.record_read();
+        record_read();
         path.push(idx);
         let node = &self.nodes[idx];
         if node.level == 0 {
@@ -146,6 +148,7 @@ impl RStarTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::count_reads;
     use crate::rstar::RStarConfig;
     use mrq_data::{synthetic, Distribution, Update};
     use mrq_geometry::BoundingBox;
@@ -202,9 +205,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(11);
         let data = synthetic::generate(Distribution::Independent, 500, 2, &mut rng);
         let mut t = RStarTree::bulk_load(&data);
-        t.reset_io();
-        assert!(t.delete(123, data.record(123)));
-        assert!(t.io().reads() > t.height() as u64, "find charges reads");
+        let (deleted, reads) = count_reads(|| t.delete(123, data.record(123)));
+        assert!(deleted);
+        assert!(reads > t.height() as u64, "find charges reads");
     }
 
     #[test]

@@ -4,6 +4,7 @@
 
 use super::node::{overlap, Child, Entry, Node};
 use super::RStarTree;
+use crate::iostats::record_read;
 use mrq_data::RecordId;
 use mrq_geometry::BoundingBox;
 
@@ -34,7 +35,7 @@ impl RStarTree {
     fn choose_path(&self, mbr: &BoundingBox, target_level: u32) -> Vec<usize> {
         let mut path = vec![self.root];
         let mut current = self.root;
-        self.io.record_read();
+        record_read();
         while self.nodes[current].level > target_level {
             let node = &self.nodes[current];
             let child_is_leaf = node.level == target_level + 1 && target_level == 0;
@@ -76,7 +77,7 @@ impl RStarTree {
                 Child::Node(idx) => idx as usize,
                 Child::Record(_) => unreachable!("internal node entry must point to a node"),
             };
-            self.io.record_read();
+            record_read();
             path.push(current);
         }
         path

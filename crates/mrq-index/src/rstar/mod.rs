@@ -17,7 +17,7 @@
 //!   dominator counting does),
 //! * focal-record partitioning queries used by BA (retrieve incomparable
 //!   records) and by both algorithms (count dominators),
-//! * page-access accounting via [`IoStats`].
+//! * page-access accounting via [`crate::iostats`].
 //!
 //! Node fan-out defaults to what fits a 4 KB page for the given
 //! dimensionality, mirroring the experimental setup of Section 8.
@@ -30,7 +30,7 @@ mod query;
 
 pub use node::{Child, Entry, Node, RStarConfig};
 
-use crate::iostats::{IoStats, PAGE_SIZE_BYTES};
+use crate::iostats::PAGE_SIZE_BYTES;
 use mrq_data::{Dataset, RecordId};
 use mrq_geometry::BoundingBox;
 
@@ -38,7 +38,8 @@ use mrq_geometry::BoundingBox;
 ///
 /// The tree stores point entries only (each record is a degenerate box); the
 /// arena-based node storage keeps the implementation simple and cache
-/// friendly while the [`IoStats`] counter simulates the paged cost model.
+/// friendly while the [`crate::iostats`] counter simulates the paged cost
+/// model.
 #[derive(Debug, Clone)]
 pub struct RStarTree {
     pub(crate) dims: usize,
@@ -49,7 +50,6 @@ pub struct RStarTree {
     pub(crate) root: usize,
     pub(crate) height: u32,
     pub(crate) len: usize,
-    pub(crate) io: IoStats,
 }
 
 impl RStarTree {
@@ -75,7 +75,6 @@ impl RStarTree {
             root: 0,
             height: 0,
             len: 0,
-            io: IoStats::new(),
         }
     }
 
@@ -109,8 +108,8 @@ impl RStarTree {
     }
 
     /// Inserts a single record (id + coordinates).  The root-to-leaf
-    /// traversal is charged to [`IoStats`] (one read per node visited), as
-    /// deletion and the queries are.
+    /// traversal is charged to [`crate::iostats`] (one read per node
+    /// visited), as deletion and the queries are.
     pub fn insert(&mut self, id: RecordId, point: &[f64]) {
         assert_eq!(point.len(), self.dims, "point dimensionality mismatch");
         self.insert_record(id, point);
@@ -142,16 +141,6 @@ impl RStarTree {
     /// later allocations).
     pub fn node_count(&self) -> usize {
         self.nodes.len() - self.free.len()
-    }
-
-    /// The I/O counter shared by all queries on this tree.
-    pub fn io(&self) -> &IoStats {
-        &self.io
-    }
-
-    /// Resets the I/O counter.
-    pub fn reset_io(&self) {
-        self.io.reset();
     }
 
     /// Minimum bounding box of all indexed points (None when empty).
@@ -272,6 +261,7 @@ impl RStarTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::count_reads;
     use mrq_data::{synthetic, Distribution};
     use rand::{rngs::StdRng, SeedableRng};
 
@@ -364,19 +354,13 @@ mod tests {
         let t = RStarTree::bulk_load(&data);
         // Count the whole space: the aggregate counts mean only the root needs
         // to be read.
-        t.reset_io();
-        let c = t.range_count(&BoundingBox::unit(2));
+        let (c, reads) = count_reads(|| t.range_count(&BoundingBox::unit(2)));
         assert_eq!(c as usize, 3000);
-        assert_eq!(
-            t.io().reads(),
-            1,
-            "whole-space count must touch only the root"
-        );
+        assert_eq!(reads, 1, "whole-space count must touch only the root");
         // Reporting ids, in contrast, must touch every leaf.
-        t.reset_io();
-        let ids = t.range_ids(&BoundingBox::unit(2));
+        let (ids, reads) = count_reads(|| t.range_ids(&BoundingBox::unit(2)));
         assert_eq!(ids.len(), 3000);
-        assert!(t.io().reads() as usize >= t.node_count() / 2);
+        assert!(reads as usize >= t.node_count() / 2);
     }
 
     #[test]

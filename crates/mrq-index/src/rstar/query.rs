@@ -1,13 +1,14 @@
 //! Query operations over the aggregate R\*-tree: range reporting, aggregate
 //! counting, dominator counting and incomparable-record retrieval.
 //!
-//! Every *node read* increments the tree's [`IoStats`](crate::IoStats)
-//! counter; aggregate counts deliberately avoid descending into sub-trees
-//! whose MBR is fully covered by the query, which is exactly how the paper's
-//! aggregate R-tree makes dominator counting cheap.
+//! Every *node read* is charged to the calling thread's page counter
+//! ([`crate::iostats`]); aggregate counts deliberately avoid descending into
+//! sub-trees whose MBR is fully covered by the query, which is exactly how
+//! the paper's aggregate R-tree makes dominator counting cheap.
 
 use super::node::{Child, Node};
 use super::RStarTree;
+use crate::iostats::record_read;
 use mrq_data::RecordId;
 use mrq_geometry::BoundingBox;
 
@@ -23,7 +24,7 @@ impl RStarTree {
     }
 
     fn range_ids_rec(&self, idx: usize, query: &BoundingBox, out: &mut Vec<RecordId>) {
-        self.io.record_read();
+        record_read();
         let node: &Node = &self.nodes[idx];
         for e in &node.entries {
             if !query.intersects(&e.mbr) {
@@ -46,7 +47,7 @@ impl RStarTree {
     }
 
     fn range_count_rec(&self, idx: usize, query: &BoundingBox) -> u64 {
-        self.io.record_read();
+        record_read();
         let node = &self.nodes[idx];
         let mut total = 0u64;
         for e in &node.entries {
@@ -113,7 +114,7 @@ impl RStarTree {
         skip: Option<RecordId>,
         out: &mut Vec<RecordId>,
     ) {
-        self.io.record_read();
+        record_read();
         let node = &self.nodes[idx];
         for e in &node.entries {
             // Prune sub-trees that contain only dominators / duplicates
@@ -145,6 +146,7 @@ impl RStarTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::count_reads;
     use crate::rstar::RStarConfig;
     use mrq_data::{synthetic, Dataset, Distribution};
     use rand::{rngs::StdRng, SeedableRng};
@@ -182,12 +184,8 @@ mod tests {
     fn count_uses_fewer_reads_than_report() {
         let (_, tree) = small_tree();
         let q = BoundingBox::new(vec![0.1, 0.1], vec![0.9, 0.9]);
-        tree.reset_io();
-        let _ = tree.range_count(&q);
-        let count_io = tree.io().reads();
-        tree.reset_io();
-        let _ = tree.range_ids(&q);
-        let report_io = tree.io().reads();
+        let (_, count_io) = count_reads(|| tree.range_count(&q));
+        let (_, report_io) = count_reads(|| tree.range_ids(&q));
         assert!(
             count_io < report_io,
             "count {count_io} vs report {report_io}"

@@ -8,6 +8,7 @@
 //! provided as part of the index layer and used by the examples and tests as
 //! an independent cross-check of the ranking machinery.
 
+use crate::iostats::record_read;
 use crate::rstar::{Child, RStarTree};
 use mrq_data::RecordId;
 use std::collections::BinaryHeap;
@@ -117,7 +118,7 @@ fn k_skyband_impl(
         match item.child {
             Child::Record(id) => result.push((id, item.corner)),
             Child::Node(idx) => {
-                tree.io().record_read();
+                record_read();
                 let node = &tree.nodes[idx as usize];
                 for e in &node.entries {
                     heap.push(Item {

@@ -6,6 +6,7 @@
 //! record at a witness query vector must equal `k*`), the appendix
 //! dimensionality-curse experiment (Figure 12), and the example programs.
 
+use crate::iostats::record_read;
 use crate::rstar::{Child, RStarTree};
 use mrq_data::RecordId;
 use std::collections::BinaryHeap;
@@ -75,7 +76,7 @@ pub fn top_k(tree: &RStarTree, q: &[f64], k: usize) -> TopKResult {
                 }
             }
             Child::Node(idx) => {
-                tree.io().record_read();
+                record_read();
                 let node = &tree.nodes[idx as usize];
                 for e in &node.entries {
                     let bound: f64 = e.mbr.hi.iter().zip(q).map(|(x, w)| x * w).sum();
@@ -105,7 +106,7 @@ pub fn order_of(tree: &RStarTree, p: &[f64], q: &[f64]) -> usize {
 }
 
 fn count_above(tree: &RStarTree, idx: usize, q: &[f64], threshold: f64) -> usize {
-    tree.io().record_read();
+    record_read();
     let node = &tree.nodes[idx];
     let mut total = 0usize;
     for e in &node.entries {
@@ -133,6 +134,7 @@ fn count_above(tree: &RStarTree, idx: usize, q: &[f64], threshold: f64) -> usize
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::iostats::count_reads;
     use mrq_data::{synthetic, Dataset, Distribution};
     use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -215,9 +217,7 @@ mod tests {
         let tree = RStarTree::bulk_load(&data);
         let p = data.record(0).to_vec();
         let q = [0.4, 0.3, 0.3];
-        tree.reset_io();
-        let _ = order_of(&tree, &p, &q);
-        let with_pruning = tree.io().reads();
+        let (_, with_pruning) = count_reads(|| order_of(&tree, &p, &q));
         assert!(
             (with_pruning as usize) < tree.node_count(),
             "order_of must not read the whole tree ({with_pruning} reads of {} nodes)",

@@ -8,7 +8,7 @@
 //!            ┌───────────────────────────── MrqService ─────────────────────────────┐
 //! client ──► │ DatasetRegistry ──► bounded queue ──► WorkerPool ──► ResultCache │ ──► answer
 //!            │  (versioned Dataset    (backpressure,    (N threads,     (LRU keyed by │
-//!            │   + R*-tree snapshots   deadlines)        coalescing)     dataset/version/ │
+//!            │   + R*-tree snapshots   deadlines)        one job each)   dataset/version/ │
 //!            │   behind Arc)                                             focal/algo/tau) │
 //!            └──────────────────────────────────────────────────────────────────────┘
 //! ```
@@ -16,9 +16,9 @@
 //! * [`registry`] — load/generate each named dataset once, share `Arc`
 //!   snapshots; updates go through [`DatasetHandle::apply`] (copy-on-write
 //!   swap, serialized per dataset, versioned).
-//! * [`pool`] — fixed worker threads over a bounded queue; same-snapshot
-//!   requests are coalesced through `mrq_core::evaluate_batch`; per-request
-//!   deadlines; graceful drain-then-join shutdown.
+//! * [`pool`] — fixed worker threads over a bounded queue; each job is one
+//!   `MaxRankQuery::evaluate` on the snapshot it was validated against;
+//!   per-request deadlines; graceful drain-then-join shutdown.
 //! * [`cache`] — an O(1) LRU over `(dataset, version, focal, algorithm,
 //!   tau)` with hit/miss/eviction counters; the version component retires
 //!   stale entries without a flush.
@@ -39,8 +39,9 @@
 //! ## Why sharing engines across threads is sound
 //!
 //! Everything a query touches is immutable after registration: [`Dataset`]
-//! is plain memory, the R\*-tree's only interior mutability is its relaxed
-//! atomic I/O counter, and each evaluation builds its own quad-tree privately.
+//! and the R\*-tree are plain memory with no interior mutability (the
+//! simulated page-read counter is thread-local, see `mrq_index::iostats`),
+//! and each evaluation builds its own quad-tree privately.
 //! The assertions below pin that property down at compile time — if a future
 //! change reintroduces a non-`Sync` cell anywhere in an engine, this crate
 //! stops compiling rather than racing.
@@ -89,7 +90,6 @@ const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<Dataset>();
     assert_send_sync::<mrq_index::RStarTree>();
-    assert_send_sync::<mrq_index::IoStats>();
     assert_send_sync::<mrq_core::MaxRankQuery<'static>>();
     assert_send_sync::<mrq_core::MaxRankConfig>();
     assert_send_sync::<mrq_core::MaxRankResult>();

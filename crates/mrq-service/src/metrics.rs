@@ -161,12 +161,6 @@ pub fn families(stats: &ServiceStats) -> Vec<Family> {
             one(p.executed),
         ),
         (
-            "mrq_pool_jobs_coalesced_total",
-            Counter,
-            "Jobs that rode along in a coalesced same-dataset batch.",
-            one(p.coalesced),
-        ),
-        (
             "mrq_pool_jobs_timed_out_total",
             Counter,
             "Jobs whose deadline had already passed at dequeue time.",
@@ -671,7 +665,6 @@ mod tests {
                 queue_capacity: 256,
                 queue_depth: 1,
                 executed: 42,
-                coalesced: 7,
                 timed_out: 2,
                 deadline_rejected: 1,
             },
@@ -726,7 +719,6 @@ mod tests {
             "mrq_pool_queue_capacity 256",
             "mrq_pool_queue_depth 1",
             "mrq_pool_jobs_executed_total 42",
-            "mrq_pool_jobs_coalesced_total 7",
             "mrq_pool_jobs_timed_out_total 2",
             "mrq_pool_jobs_deadline_rejected_total 1",
             "mrq_dataset_queries_total{dataset=\"demo\"} 10",

@@ -1,6 +1,5 @@
 //! The fixed-size worker pool: a bounded request queue drained by `N`
-//! threads, with per-request deadlines, same-dataset coalescing through
-//! `mrq_core::evaluate_batch`, and graceful shutdown.
+//! threads, with per-request deadlines and graceful shutdown.
 //!
 //! Threading model (also documented in `docs/ARCHITECTURE.md`):
 //!
@@ -8,14 +7,14 @@
 //!   [`WorkerPool::submit`] blocks while the queue is at capacity;
 //!   [`WorkerPool::try_submit`] instead fails fast with
 //!   [`ServiceError::QueueFull`] so a server can apply backpressure.
-//! * Each worker pops the oldest job, then *coalesces*: it steals every other
-//!   queued job for the same `(dataset, algorithm, tau)` group (up to
-//!   `coalesce_limit`) and runs the whole group through one engine via
-//!   [`mrq_core::evaluate_batch`], so a burst of requests against one dataset
-//!   pays for one engine setup and keeps its index pages hot.
-//! * Deadlines are checked when a job is dequeued: a job whose deadline has
-//!   already passed is answered with [`ServiceError::DeadlineExceeded`]
-//!   without being evaluated.  A job that *starts* before its deadline runs
+//! * Each worker pops the oldest job and runs, in order: a deadline check,
+//!   the cache lookup, a second deadline check, then
+//!   [`MaxRankQuery::evaluate`] under `catch_unwind`, and responds.  One job
+//!   is one evaluation on one thread, so the evaluation's page-read count
+//!   (`mrq_index::iostats`) is exact however many workers share the index.
+//! * A job whose deadline has passed at either check is answered with
+//!   [`ServiceError::DeadlineExceeded`] without being evaluated.  A job that
+//!   *starts* before its deadline runs
 //!   to completion (MaxRank evaluation is not cooperatively cancellable);
 //!   the waiting side stops listening at the deadline, so the late answer is
 //!   simply dropped.
@@ -28,7 +27,7 @@ use crate::error::ServiceError;
 use crate::querystats::QueryStatsBook;
 use crate::registry::DatasetEntry;
 use crate::sync::lock_or_recover;
-use mrq_core::{evaluate_batch, Algorithm, MaxRankConfig, MaxRankResult};
+use mrq_core::{Algorithm, MaxRankConfig, MaxRankQuery, MaxRankResult};
 use mrq_data::RecordId;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -57,18 +56,6 @@ pub struct QueryJob {
     pub responder: mpsc::Sender<JobOutcome>,
 }
 
-impl QueryJob {
-    fn same_group(&self, other: &QueryJob) -> bool {
-        // `Arc::ptr_eq` compares the *snapshot*, not just the dataset name:
-        // jobs validated before and after an update hold different entries
-        // and are never coalesced into one engine.
-        self.algorithm == other.algorithm
-            && self.tau == other.tau
-            && self.threads == other.threads
-            && Arc::ptr_eq(&self.entry, &other.entry)
-    }
-}
-
 /// The outcome delivered to a job's responder channel.
 #[derive(Debug)]
 pub struct JobOutcome {
@@ -85,8 +72,6 @@ pub struct PoolConfig {
     pub workers: usize,
     /// Maximum number of queued jobs before submitters block / are rejected.
     pub queue_capacity: usize,
-    /// Maximum number of same-group jobs one worker batches together.
-    pub coalesce_limit: usize,
 }
 
 impl Default for PoolConfig {
@@ -96,7 +81,6 @@ impl Default for PoolConfig {
                 .map(|n| n.get().min(8))
                 .unwrap_or(4),
             queue_capacity: 256,
-            coalesce_limit: 16,
         }
     }
 }
@@ -112,13 +96,11 @@ pub struct PoolStats {
     pub queue_depth: usize,
     /// Jobs evaluated (cache hits and timed-out jobs not included).
     pub executed: u64,
-    /// Jobs that rode along in a coalesced batch (batch size − 1, summed).
-    pub coalesced: u64,
     /// Jobs answered `DeadlineExceeded` at dequeue time.
     pub timed_out: u64,
     /// Jobs answered `DeadlineExceeded` at the second check, between the
-    /// cache lookup and evaluation (their deadline expired while the batch
-    /// was being triaged, so they never paid for an eval).
+    /// cache lookup and evaluation (their deadline expired during the cache
+    /// lookup, so they never paid for an eval).
     pub deadline_rejected: u64,
 }
 
@@ -135,7 +117,6 @@ struct Shared {
     cache: Arc<ResultCache>,
     query_stats: Arc<QueryStatsBook>,
     executed: AtomicU64,
-    coalesced: AtomicU64,
     timed_out: AtomicU64,
     deadline_rejected: AtomicU64,
 }
@@ -159,7 +140,7 @@ impl WorkerPool {
     /// Spawns the workers.
     ///
     /// # Panics
-    /// Panics if `workers`, `queue_capacity` or `coalesce_limit` is zero.
+    /// Panics if `workers` or `queue_capacity` is zero.
     pub fn new(
         config: PoolConfig,
         cache: Arc<ResultCache>,
@@ -169,10 +150,6 @@ impl WorkerPool {
         assert!(
             config.queue_capacity >= 1,
             "queue capacity must be positive"
-        );
-        assert!(
-            config.coalesce_limit >= 1,
-            "coalesce limit must be positive"
         );
         let shared = Arc::new(Shared {
             queue: Mutex::new(Queue {
@@ -185,7 +162,6 @@ impl WorkerPool {
             cache,
             query_stats,
             executed: AtomicU64::new(0),
-            coalesced: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
         });
@@ -247,7 +223,6 @@ impl WorkerPool {
             queue_capacity: self.shared.config.queue_capacity,
             queue_depth: depth,
             executed: self.shared.executed.load(Ordering::Relaxed),
-            coalesced: self.shared.coalesced.load(Ordering::Relaxed),
             timed_out: self.shared.timed_out.load(Ordering::Relaxed),
             deadline_rejected: self.shared.deadline_rejected.load(Ordering::Relaxed),
         }
@@ -277,7 +252,7 @@ impl Drop for WorkerPool {
 
 fn worker_loop(shared: &Shared) {
     loop {
-        let batch = {
+        let job = {
             let mut q = lock_or_recover(&shared.queue);
             while q.jobs.is_empty() && !q.closed {
                 q = shared
@@ -285,131 +260,87 @@ fn worker_loop(shared: &Shared) {
                     .wait(q)
                     .unwrap_or_else(PoisonError::into_inner);
             }
-            let Some(first) = q.jobs.pop_front() else {
+            let Some(job) = q.jobs.pop_front() else {
                 debug_assert!(q.closed);
                 return;
             };
-            // Coalesce: steal every queued job for the same (dataset,
-            // algorithm, tau) group, preserving the relative order of the
-            // rest of the queue.
-            let mut batch = vec![first];
-            let mut i = 0;
-            while batch.len() < shared.config.coalesce_limit && i < q.jobs.len() {
-                if q.jobs[i].same_group(&batch[0]) {
-                    let job = q.jobs.remove(i).expect("index checked");
-                    batch.push(job);
-                } else {
-                    i += 1;
-                }
-            }
-            batch
+            job
         };
-        shared.not_full.notify_all();
-        shared
-            .coalesced
-            .fetch_add(batch.len() as u64 - 1, Ordering::Relaxed);
-        run_batch(shared, batch);
+        shared.not_full.notify_one();
+        run_job(shared, job);
     }
 }
 
-/// Answers one coalesced batch: deadline triage, cache lookups, then a
-/// single `evaluate_batch` call for the remaining misses.
-fn run_batch(shared: &Shared, batch: Vec<QueryJob>) {
-    let now = Instant::now();
-    let mut pending: Vec<QueryJob> = Vec::with_capacity(batch.len());
-    for job in batch {
-        if job.deadline.is_some_and(|d| d <= now) {
-            shared.timed_out.fetch_add(1, Ordering::Relaxed);
-            respond(&job, Err(ServiceError::DeadlineExceeded), false);
-            continue;
-        }
-        if let Some(key) = &job.cache_key {
-            if let Some(hit) = shared.cache.get(key) {
-                shared.query_stats.record_cache_hit(job.entry.name());
-                respond(&job, Ok(hit), true);
-                continue;
-            }
-        }
-        pending.push(job);
+/// Answers one job: deadline check, cache lookup, second deadline check,
+/// then one evaluation.
+fn run_job(shared: &Shared, job: QueryJob) {
+    let expired = |job: &QueryJob| job.deadline.is_some_and(|d| d <= Instant::now());
+    if expired(&job) {
+        shared.timed_out.fetch_add(1, Ordering::Relaxed);
+        respond(&job, Err(ServiceError::DeadlineExceeded), false);
+        return;
     }
-    if pending.is_empty() {
+    if let Some(hit) = job.cache_key.as_ref().and_then(|key| shared.cache.get(key)) {
+        shared.query_stats.record_cache_hit(job.entry.name());
+        respond(&job, Ok(hit), true);
         return;
     }
 
     #[cfg(test)]
     {
-        // Test hook: widen the window between triage and evaluation so the
-        // second deadline check below can be exercised deterministically.
+        // Test hook: widen the window between the cache lookup and
+        // evaluation so the second deadline check below can be exercised
+        // deterministically.
         let ms = PRE_EVAL_DELAY_MS.load(Ordering::Relaxed);
         if ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
     }
 
-    // Deadlines are re-checked here because cache lookups (and, under
-    // contention, the wait for the cache mutex) happen after the dequeue
+    // Deadlines are re-checked here because the cache lookup (and, under
+    // contention, the wait for the cache mutex) happens after the dequeue
     // check: a job that has died in between must not pay for an evaluation
     // its waiter already abandoned.
-    let now = Instant::now();
-    pending.retain(|job| {
-        if job.deadline.is_some_and(|d| d <= now) {
-            shared.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-            respond(job, Err(ServiceError::DeadlineExceeded), false);
-            false
-        } else {
-            true
-        }
-    });
-    if pending.is_empty() {
+    if expired(&job) {
+        shared.deadline_rejected.fetch_add(1, Ordering::Relaxed);
+        respond(&job, Err(ServiceError::DeadlineExceeded), false);
         return;
     }
 
-    let entry = Arc::clone(&pending[0].entry);
     let config = MaxRankConfig {
-        tau: pending[0].tau,
-        algorithm: pending[0].algorithm,
-        threads: pending[0].threads,
+        tau: job.tau,
+        algorithm: job.algorithm,
+        threads: job.threads,
         ..MaxRankConfig::new()
     };
-    let focals: Vec<RecordId> = pending.iter().map(|j| j.focal).collect();
-    // `threads = 1`: the pool's workers *are* the parallelism; the batch path
-    // is used for its single engine setup, not for nested fan-out.
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
         if PANIC_NEXT_EVAL.swap(false, Ordering::Relaxed) {
             panic!("injected evaluation panic");
         }
-        evaluate_batch(entry.data(), entry.tree(), &focals, &config, 1)
+        MaxRankQuery::new(job.entry.data(), job.entry.tree()).evaluate(job.focal, &config)
     }));
     match outcome {
-        Ok(results) => {
+        Ok(result) => {
+            shared.executed.fetch_add(1, Ordering::Relaxed);
             shared
-                .executed
-                .fetch_add(pending.len() as u64, Ordering::Relaxed);
-            for (job, result) in pending.iter().zip(results) {
-                shared
-                    .query_stats
-                    .record_executed(job.entry.name(), &result.stats);
-                let result = Arc::new(result);
-                if let Some(key) = &job.cache_key {
-                    shared.cache.insert(key.clone(), Arc::clone(&result));
-                }
-                respond(job, Ok(result), false);
+                .query_stats
+                .record_executed(job.entry.name(), &result.stats);
+            let result = Arc::new(result);
+            if let Some(key) = &job.cache_key {
+                shared.cache.insert(key.clone(), Arc::clone(&result));
             }
+            respond(&job, Ok(result), false);
         }
-        Err(_) => {
-            for job in &pending {
-                respond(
-                    job,
-                    Err(ServiceError::Internal(format!(
-                        "evaluation panicked (dataset '{}', focal {})",
-                        job.entry.name(),
-                        job.focal
-                    ))),
-                    false,
-                );
-            }
-        }
+        Err(_) => respond(
+            &job,
+            Err(ServiceError::Internal(format!(
+                "evaluation panicked (dataset '{}', focal {})",
+                job.entry.name(),
+                job.focal
+            ))),
+            false,
+        ),
     }
 }
 
@@ -418,7 +349,7 @@ fn respond(job: &QueryJob, result: Result<Arc<MaxRankResult>, ServiceError>, cac
     let _ = job.responder.send(JobOutcome { result, cached });
 }
 
-/// Milliseconds each worker sleeps between batch triage and evaluation
+/// Milliseconds each worker sleeps between the cache lookup and evaluation
 /// (tests only; see `deadline_expiring_after_triage_is_rejected_pre_eval`).
 #[cfg(test)]
 static PRE_EVAL_DELAY_MS: AtomicU64 = AtomicU64::new(0);
@@ -466,7 +397,6 @@ mod tests {
             PoolConfig {
                 workers,
                 queue_capacity: queue,
-                coalesce_limit: 16,
             },
             cache,
             Arc::new(QueryStatsBook::new()),
@@ -612,7 +542,7 @@ mod tests {
     }
 
     #[test]
-    fn coalescing_counter_moves_under_burst() {
+    fn burst_on_one_worker_evaluates_every_job() {
         let entry = demo_entry();
         let pool = pool(1, 64, Arc::new(ResultCache::new(0)));
         let receivers: Vec<_> = (0..32u32)
@@ -629,9 +559,8 @@ mod tests {
                 .result
                 .is_ok());
         }
-        // With a single worker and a 32-job burst on one dataset, at least
-        // one dequeue must have found group-mates waiting.
-        assert!(pool.stats().coalesced > 0, "burst should coalesce");
+        // No cache: each of the 32 jobs is its own evaluation.
+        assert_eq!(pool.stats().executed, 32);
         pool.shutdown();
     }
 }

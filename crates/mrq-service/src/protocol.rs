@@ -51,7 +51,7 @@
 //! connection, never inside one.
 //!
 //! The complete wire-format specification — framing, every verb, every
-//! error, the `threads` clamp and the coalescing semantics — lives in
+//! error, the `threads` clamp and the pool semantics — lives in
 //! `docs/PROTOCOL.md`.
 
 use crate::error::ServiceError;

@@ -130,7 +130,7 @@ impl Default for DurabilityOptions {
 /// Cumulative durability counters, shared by every durable dataset of one
 /// registry.  All counters are **real** file I/O — bytes genuinely written
 /// to or read from disk — in contrast to the simulated per-query `io_reads`
-/// cost model (see `mrq_data::storage` and `mrq_index::IoStats` docs).
+/// cost model (see the `mrq_data::storage` and `mrq_index::iostats` docs).
 #[derive(Debug, Default)]
 struct DurabilityBook {
     durable_datasets: AtomicU64,

@@ -24,8 +24,6 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Result-cache capacity in entries (0 disables caching).
     pub cache_capacity: usize,
-    /// Maximum same-dataset batch one worker coalesces.
-    pub coalesce_limit: usize,
     /// Deadline applied to requests that do not carry their own.
     pub default_deadline: Option<Duration>,
 }
@@ -37,7 +35,6 @@ impl Default for ServiceConfig {
             workers: pool.workers,
             queue_capacity: pool.queue_capacity,
             cache_capacity: 1024,
-            coalesce_limit: pool.coalesce_limit,
             default_deadline: None,
         }
     }
@@ -232,7 +229,6 @@ impl MrqService {
             PoolConfig {
                 workers: config.workers,
                 queue_capacity: config.queue_capacity,
-                coalesce_limit: config.coalesce_limit,
             },
             Arc::clone(&cache),
             Arc::clone(&query_stats),

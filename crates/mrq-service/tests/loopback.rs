@@ -91,7 +91,7 @@ fn concurrent_clients_agree_with_fresh_evaluation_and_hit_the_cache() {
                 let mut client = Client::connect(addr).expect("connect");
                 for q in 0..QUERIES_PER_CLIENT {
                     // Interleave focals differently per client so requests
-                    // overlap across connections (coalescing + cache races).
+                    // overlap across connections (cache races).
                     let focal = FOCALS[(c + q) % FOCALS.len()];
                     let reply = client.query("bench", focal).expect("query");
                     check_reply(&reply, focal, &reference);

@@ -33,7 +33,6 @@ fn golden_stats() -> ServiceStats {
             queue_capacity: 512,
             queue_depth: 3,
             executed: 9007199254740993, // 2^53 + 1: must not round to ...992
-            coalesced: 12,
             timed_out: 4,
             deadline_rejected: 2,
         },

@@ -6,7 +6,7 @@
 //! the same updates outside the service.  After every query the harness
 //! bulk-loads a fresh R\*-tree over the mirror and evaluates the same
 //! (focal, algorithm, τ) single-threadedly: the service answer — whether it
-//! came from the worker pool, a coalesced batch or the result cache — must
+//! came from the worker pool or the result cache — must
 //! be semantically identical, and must carry exactly the mirror's current
 //! version.  Because cache keys embed the dataset version, any stale cache
 //! hit would either carry the wrong version (caught by the version

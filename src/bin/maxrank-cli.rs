@@ -288,8 +288,8 @@ fn run_multi_focal(data: Dataset, args: &Args) -> ExitCode {
             ..ServiceConfig::default()
         },
     );
-    // Enqueue everything first so the pool actually runs in parallel (and
-    // coalesces same-dataset neighbours), then collect in input order.
+    // Enqueue everything first so the pool actually runs in parallel, then
+    // collect in input order.
     let pending: Result<Vec<_>, _> = args
         .focals
         .iter()

@@ -234,7 +234,6 @@ fn main() -> ExitCode {
         queue_capacity: args.queue.unwrap_or(defaults.queue_capacity),
         cache_capacity: args.cache.unwrap_or(defaults.cache_capacity),
         default_deadline: args.deadline_ms.map(Duration::from_millis),
-        ..defaults
     };
     let service = Arc::new(MrqService::new(Arc::clone(&registry), config));
     let server_defaults = ServerConfig::default();
