@@ -953,10 +953,10 @@ impl CellEnumerator {
                 let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
                     .partial
                     .iter()
-                    .map(|&id| (id, qt.halfspace(id).clone()))
+                    .map(|&id| (id, qt.halfspace(id)))
                     .collect();
                 let cells = process_leaf(
-                    leaf.bounds,
+                    &leaf.bounds(),
                     &partial,
                     &simplex,
                     max_weight,

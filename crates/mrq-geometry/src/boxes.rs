@@ -21,6 +21,69 @@ pub enum BoxRelation {
     Overlapping,
 }
 
+/// The per-half-space part of the box test, computed once so that testing
+/// many boxes against one half-space takes no square root.
+///
+/// The coefficients stay with the caller (the quad-tree keeps all of them in
+/// one flat array); [`classify`](Self::classify) takes them with the box.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PreparedHalfSpace {
+    /// `‖a‖`; the box test works in the normalised form so that [`EPS`] has
+    /// a consistent meaning whatever the magnitude of the coefficients.
+    norm: f64,
+    /// `b / ‖a‖ + EPS`.
+    threshold: f64,
+    /// The answer for every box when the normal is (almost) zero: the whole
+    /// space (`b < −EPS`) contains it, the empty set is disjoint from it.
+    degenerate: Option<BoxRelation>,
+}
+
+impl PreparedHalfSpace {
+    /// Prepares `h` for [`classify`](Self::classify).
+    pub fn new(h: &HalfSpace) -> Self {
+        let norm = h.normal_norm();
+        let degenerate = (norm < EPS).then_some(if h.rhs < -EPS {
+            BoxRelation::Contained
+        } else {
+            BoxRelation::Disjoint
+        });
+        Self {
+            norm,
+            threshold: h.rhs / norm + EPS,
+            degenerate,
+        }
+    }
+
+    /// Classifies the box `[lo, hi]` against the half-space `coeffs · x > b`
+    /// this was prepared from: the minimum and maximum of `coeffs · x` over
+    /// the box are attained at corners and summed coordinate-wise in one
+    /// pass.
+    #[inline]
+    pub fn classify(&self, coeffs: &[f64], lo: &[f64], hi: &[f64]) -> BoxRelation {
+        if let Some(relation) = self.degenerate {
+            return relation;
+        }
+        debug_assert!(coeffs.len() == lo.len() && coeffs.len() == hi.len());
+        let (mut min, mut max) = (0.0, 0.0);
+        for ((c, l), h) in coeffs.iter().zip(lo).zip(hi) {
+            if *c >= 0.0 {
+                min += c * l;
+                max += c * h;
+            } else {
+                min += c * h;
+                max += c * l;
+            }
+        }
+        if min / self.norm > self.threshold {
+            BoxRelation::Contained
+        } else if max / self.norm <= self.threshold {
+            BoxRelation::Disjoint
+        } else {
+            BoxRelation::Overlapping
+        }
+    }
+}
+
 /// A closed axis-parallel box `[lo_1, hi_1] × … × [lo_d, hi_d]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundingBox {
@@ -88,46 +151,9 @@ impl BoundingBox {
             .all(|(v, (l, h))| *v >= l - EPS && *v <= h + EPS)
     }
 
-    /// Minimum of `a · x` over the box.
-    pub fn min_dot(&self, a: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), self.dim());
-        a.iter()
-            .zip(self.lo.iter().zip(&self.hi))
-            .map(|(c, (l, h))| if *c >= 0.0 { c * l } else { c * h })
-            .sum()
-    }
-
-    /// Maximum of `a · x` over the box.
-    pub fn max_dot(&self, a: &[f64]) -> f64 {
-        debug_assert_eq!(a.len(), self.dim());
-        a.iter()
-            .zip(self.lo.iter().zip(&self.hi))
-            .map(|(c, (l, h))| if *c >= 0.0 { c * h } else { c * l })
-            .sum()
-    }
-
     /// Classifies the box against an open half-space `a · x > b`.
     pub fn relation_to(&self, h: &HalfSpace) -> BoxRelation {
-        if h.is_degenerate() {
-            return if h.degenerate_is_full() {
-                BoxRelation::Contained
-            } else {
-                BoxRelation::Disjoint
-            };
-        }
-        // Work with the normalised form so that EPS has consistent meaning
-        // regardless of the magnitude of the coefficients.
-        let n = h.normal_norm();
-        let min = self.min_dot(&h.coeffs) / n;
-        let max = self.max_dot(&h.coeffs) / n;
-        let rhs = h.rhs / n;
-        if min > rhs + EPS {
-            BoxRelation::Contained
-        } else if max <= rhs + EPS {
-            BoxRelation::Disjoint
-        } else {
-            BoxRelation::Overlapping
-        }
+        PreparedHalfSpace::new(h).classify(&h.coeffs, &self.lo, &self.hi)
     }
 
     /// Splits the box into its `2^dim` quadrants (children of a quad-tree
@@ -212,11 +238,101 @@ mod tests {
     }
 
     #[test]
-    fn min_max_dot() {
+    fn classify_uses_the_box_extremes_of_the_linear_form() {
+        // Over this box, 2x − y ranges over [−1, 1.5].
         let b = BoundingBox::new(vec![0.0, 0.5], vec![1.0, 1.0]);
-        let a = [2.0, -1.0];
-        assert!((b.min_dot(&a) - (0.0 - 1.0)).abs() < 1e-12);
-        assert!((b.max_dot(&a) - (2.0 - 0.5)).abs() < 1e-12);
+        let rel = |rhs: f64| b.relation_to(&hs(&[2.0, -1.0], rhs));
+        assert_eq!(rel(-1.001), BoxRelation::Contained);
+        assert_eq!(rel(-1.0), BoxRelation::Overlapping);
+        assert_eq!(rel(1.499), BoxRelation::Overlapping);
+        assert_eq!(rel(1.5), BoxRelation::Disjoint);
+    }
+
+    /// The box test as written before [`PreparedHalfSpace`]: the norm taken
+    /// twice, the extremes summed in two passes, the threshold recomputed on
+    /// every call.  Kept as the oracle the prepared form must match.
+    fn relation_oracle(lo: &[f64], hi: &[f64], h: &HalfSpace) -> BoxRelation {
+        if h.is_degenerate() {
+            return if h.degenerate_is_full() {
+                BoxRelation::Contained
+            } else {
+                BoxRelation::Disjoint
+            };
+        }
+        let n = h.normal_norm();
+        let min: f64 = (h.coeffs.iter().zip(lo.iter().zip(hi)))
+            .map(|(c, (l, h))| if *c >= 0.0 { c * l } else { c * h })
+            .sum();
+        let max: f64 = (h.coeffs.iter().zip(lo.iter().zip(hi)))
+            .map(|(c, (l, h))| if *c >= 0.0 { c * h } else { c * l })
+            .sum();
+        let (min, max, rhs) = (min / n, max / n, h.rhs / n);
+        if min > rhs + EPS {
+            BoxRelation::Contained
+        } else if max <= rhs + EPS {
+            BoxRelation::Disjoint
+        } else {
+            BoxRelation::Overlapping
+        }
+    }
+
+    /// `classify` decides exactly like the oracle on the inputs that break
+    /// box tests: degenerate normals with `rhs` of both signs and at ±EPS,
+    /// normals just either side of the degeneracy cut, integer-valued
+    /// coefficients, and `rhs` placed exactly on (or one EPS·‖a‖ either side
+    /// of) a corner's dot product, over dyadic quad-tree boxes of dims 1–4.
+    #[test]
+    fn prepared_classify_matches_the_pre_prepared_formula() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut checked = [0usize; 3];
+        for dim in 1..=4usize {
+            for _ in 0..400 {
+                // A dyadic box as the quad-tree produces them.
+                let depth = (next() % 6) as i32;
+                let side = 0.5f64.powi(depth);
+                let lo: Vec<f64> = (0..dim)
+                    .map(|_| (next() % (1u64 << depth)) as f64 * side)
+                    .collect();
+                let hi: Vec<f64> = lo.iter().map(|l| l + side).collect();
+                let b = BoundingBox::new(lo.clone(), hi.clone());
+                let coeffs: Vec<f64> = match next() % 4 {
+                    0 => vec![0.0; dim],
+                    1 => (0..dim).map(|_| (next() % 7) as f64 - 3.0).collect(),
+                    2 => (0..dim)
+                        .map(|_| [0.0, 0.5e-9, 1e-9, -1e-9][(next() % 4) as usize])
+                        .collect(),
+                    _ => (0..dim)
+                        .map(|_| (next() % 2001) as f64 / 1000.0 - 1.0)
+                        .collect(),
+                };
+                let corner: Vec<f64> = (0..dim)
+                    .map(|i| if next() % 2 == 0 { lo[i] } else { hi[i] })
+                    .collect();
+                let on_corner: f64 = coeffs.iter().zip(&corner).map(|(c, x)| c * x).sum();
+                let n = crate::vector::l2_norm(&coeffs);
+                let mut rhs_values = vec![on_corner, on_corner + EPS * n, on_corner - EPS * n];
+                rhs_values.extend([-1.0, -EPS, -2.0 * EPS, 0.0, -0.0, EPS, 0.5, 1.0]);
+                for rhs in rhs_values {
+                    let h = HalfSpace::new(coeffs.clone(), rhs);
+                    let expected = relation_oracle(&lo, &hi, &h);
+                    let prepared = PreparedHalfSpace::new(&h);
+                    assert_eq!(
+                        prepared.classify(&coeffs, &lo, &hi),
+                        expected,
+                        "{h:?} {b:?}"
+                    );
+                    assert_eq!(b.relation_to(&h), expected);
+                    checked[expected as usize] += 1;
+                }
+            }
+        }
+        assert!(checked.iter().all(|&c| c > 100), "{checked:?}");
     }
 
     #[test]

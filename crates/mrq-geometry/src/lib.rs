@@ -24,7 +24,7 @@ pub mod reduced;
 pub mod region;
 pub mod vector;
 
-pub use boxes::{BoundingBox, BoxRelation};
+pub use boxes::{BoundingBox, BoxRelation, PreparedHalfSpace};
 pub use halfspace::{HalfSpace, Hyperplane};
 pub use lp::{maximize, maximize_with, LpOutcome, LpScratch, LpStatus};
 pub use reduced::{

@@ -22,6 +22,20 @@
 //! that drives BA's and AA's leaf pruning.  `F_l` itself (the union of the
 //! containment sets on the root-to-leaf path) is rebuilt from parent links
 //! only when a caller needs the ids ([`HalfSpaceQuadTree::full_containment`]).
+//!
+//! # Storage
+//!
+//! The tree is flat.  Node `i`'s box is the `2·dr` values at `i·2·dr` of one
+//! `Vec<f64>` (lower corner, then upper corner); half-space `h`'s
+//! coefficients are the `dr` values at `h·dr` of another, each stored beside
+//! a [`PreparedHalfSpace`](mrq_geometry::PreparedHalfSpace) holding its norm
+//! and threshold, so a box test takes no square root.  Containment sets are
+//! chains of `(id, next)` links in one arena, appended in insertion order;
+//! a node keeps its chain's head, tail and length, its parent, its children
+//! (a contiguous index range) and, while it is a leaf, its `P_l`, allocated
+//! once with room for `split_threshold + 1` ids.  A [`LeafRef`] borrows its
+//! `lo`/`hi` corners and `P_l` straight from these arrays;
+//! [`LeafRef::bounds`] builds an owned box for the few leaves that need one.
 
 pub mod tree;
 

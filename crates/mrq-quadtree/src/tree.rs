@@ -1,6 +1,8 @@
 //! Implementation of the augmented half-space quad-tree.
 
-use mrq_geometry::{reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace};
+use mrq_geometry::{
+    reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace, PreparedHalfSpace,
+};
 use std::ops::Range;
 
 /// Identifier of a half-space stored in the tree (insertion order).
@@ -39,54 +41,90 @@ impl QuadTreeConfig {
 
 /// A borrowed view of one leaf, as yielded by [`HalfSpaceQuadTree::leaf_walk`].
 ///
-/// Nothing is copied: `F_l` is carried only as its size, and the ids are
-/// rebuilt on demand by [`HalfSpaceQuadTree::full_containment`].
+/// Nothing is copied: the region is a slice of the tree's box arena, `F_l`
+/// is carried only as its size, and the ids are rebuilt on demand by
+/// [`HalfSpaceQuadTree::full_containment`].
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRef<'a> {
     /// Index of the leaf node inside the tree (stable across insertions that
     /// do not split it).
     pub node: usize,
-    /// The leaf's region.
-    pub bounds: &'a BoundingBox,
+    /// The leaf's region: lower corner, then upper corner.  One slice
+    /// rather than two keeps the ref small for the sort by `|F_l|`.
+    corners: &'a [f64],
     /// `|F_l|`: how many half-spaces fully contain the leaf.
     pub full_len: usize,
     /// `P_l`: ids of half-spaces partially overlapping the leaf.
     pub partial: &'a [HalfSpaceId],
 }
 
-#[derive(Debug, Clone)]
-enum NodeKind {
-    Leaf {
-        partial: Vec<HalfSpaceId>,
-    },
-    /// A split creates all of a node's children in one go, so their indices
-    /// are contiguous.
-    Internal {
-        children: Range<usize>,
-    },
+impl<'a> LeafRef<'a> {
+    /// Lower corner of the leaf's region.
+    pub fn lo(&self) -> &'a [f64] {
+        &self.corners[..self.corners.len() / 2]
+    }
+
+    /// Upper corner of the leaf's region.
+    pub fn hi(&self) -> &'a [f64] {
+        &self.corners[self.corners.len() / 2..]
+    }
+
+    /// The leaf's region as an owned box.
+    pub fn bounds(&self) -> BoundingBox {
+        BoundingBox::new(self.lo().to_vec(), self.hi().to_vec())
+    }
 }
 
+/// End of a containment chain, and the root's parent.
+const NIL: u32 = u32::MAX;
+
+/// One link of a containment chain in [`HalfSpaceQuadTree::links`].
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    id: HalfSpaceId,
+    next: u32,
+}
+
+/// A node; its box is `boxes[i·2·dr .. (i+1)·2·dr]` (lower corner, then
+/// upper corner) for node index `i`.
 #[derive(Debug, Clone)]
 struct QNode {
-    bounds: BoundingBox,
-    depth: usize,
-    /// Index of the parent node (`None` for the root); lets
+    depth: u32,
+    /// Index of the parent node ([`NIL`] for the root); lets
     /// `full_containment` walk a leaf's path without a stored copy of `F_l`.
-    parent: Option<usize>,
-    /// Half-spaces fully containing this node but not its parent.
-    containment: Vec<HalfSpaceId>,
-    kind: NodeKind,
+    parent: u32,
+    /// `None` for a leaf.  A split creates all of a node's children in one
+    /// go, so their indices are contiguous.
+    children: Option<Range<u32>>,
+    /// Half-spaces fully containing this node but not its parent: a chain
+    /// through `links`, in insertion order, from `head` to `tail`.
+    head: u32,
+    tail: u32,
+    containment_len: u32,
+    /// `P_l` of a leaf (empty once the node has split).
+    partial: Vec<HalfSpaceId>,
 }
 
 /// The augmented quad-tree over the reduced query space `[0,1]^(d−1)`.
+///
+/// Storage is flat: node boxes, half-space coefficients and containment ids
+/// each live in one arena indexed by node or half-space id, so besides the
+/// arenas' amortised growth an insert allocates only the `P_l` buffer of
+/// each leaf a split creates.
 #[derive(Debug, Clone)]
 pub struct HalfSpaceQuadTree {
     dr: usize,
     config: QuadTreeConfig,
     simplex: HalfSpace,
-    halfspaces: Vec<HalfSpace>,
+    simplex_test: PreparedHalfSpace,
+    /// Coefficients of half-space `id` at `coeffs[id·dr .. (id+1)·dr]`.
+    coeffs: Vec<f64>,
+    rhs: Vec<f64>,
+    tests: Vec<PreparedHalfSpace>,
+    /// Node boxes, `2·dr` values per node.
+    boxes: Vec<f64>,
     nodes: Vec<QNode>,
-    root: usize,
+    links: Vec<Link>,
 }
 
 impl HalfSpaceQuadTree {
@@ -102,23 +140,21 @@ impl HalfSpaceQuadTree {
             dr >= 1,
             "the reduced query space has at least one dimension"
         );
-        let root = QNode {
-            bounds: BoundingBox::unit(dr),
-            depth: 0,
-            parent: None,
-            containment: Vec::new(),
-            kind: NodeKind::Leaf {
-                partial: Vec::new(),
-            },
-        };
-        Self {
+        let simplex = reduced_simplex_constraint(dr + 1);
+        let mut tree = Self {
             dr,
             config,
-            simplex: reduced_simplex_constraint(dr + 1),
-            halfspaces: Vec::new(),
-            nodes: vec![root],
-            root: 0,
-        }
+            simplex_test: PreparedHalfSpace::new(&simplex),
+            simplex,
+            coeffs: Vec::new(),
+            rhs: Vec::new(),
+            tests: Vec::new(),
+            boxes: [vec![0.0; dr], vec![1.0; dr]].concat(),
+            nodes: Vec::new(),
+            links: Vec::new(),
+        };
+        tree.push_leaf(0, NIL);
+        tree
     }
 
     /// Dimensionality of the reduced query space.
@@ -128,12 +164,12 @@ impl HalfSpaceQuadTree {
 
     /// Number of half-spaces inserted so far.
     pub fn halfspace_count(&self) -> usize {
-        self.halfspaces.len()
+        self.rhs.len()
     }
 
-    /// Borrow a stored half-space by id.
-    pub fn halfspace(&self, id: HalfSpaceId) -> &HalfSpace {
-        &self.halfspaces[id as usize]
+    /// A stored half-space by id.
+    pub fn halfspace(&self, id: HalfSpaceId) -> HalfSpace {
+        HalfSpace::new(self.coeffs_of(id).to_vec(), self.rhs[id as usize])
     }
 
     /// Total number of nodes.
@@ -144,10 +180,7 @@ impl HalfSpaceQuadTree {
     /// Number of leaves (including leaves that are partially outside the
     /// permissible simplex; fully outside leaves are never created).
     pub fn leaf_count(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| matches!(n.kind, NodeKind::Leaf { .. }))
-            .count()
+        self.nodes.iter().filter(|n| n.children.is_none()).count()
     }
 
     /// Inserts a half-space of the reduced query space, returning its id.
@@ -156,91 +189,121 @@ impl HalfSpaceQuadTree {
     /// Panics if the half-space dimensionality does not match the tree's.
     pub fn insert(&mut self, h: HalfSpace) -> HalfSpaceId {
         assert_eq!(h.dim(), self.dr, "half-space dimensionality mismatch");
-        let id = self.halfspaces.len() as HalfSpaceId;
-        self.halfspaces.push(h);
-        self.insert_into(self.root, id);
+        let id = self.rhs.len() as HalfSpaceId;
+        self.tests.push(PreparedHalfSpace::new(&h));
+        self.coeffs.extend_from_slice(&h.coeffs);
+        self.rhs.push(h.rhs);
+        self.insert_into(0, id);
         id
     }
 
-    fn insert_into(&mut self, node_idx: usize, id: HalfSpaceId) {
-        let relation = {
-            let node = &self.nodes[node_idx];
-            node.bounds.relation_to(&self.halfspaces[id as usize])
-        };
-        match relation {
+    fn coeffs_of(&self, id: HalfSpaceId) -> &[f64] {
+        let at = id as usize * self.dr;
+        &self.coeffs[at..at + self.dr]
+    }
+
+    /// Node `node`'s box: lower corner, then upper corner.
+    fn corners(&self, node: u32) -> &[f64] {
+        let at = node as usize * 2 * self.dr;
+        &self.boxes[at..at + 2 * self.dr]
+    }
+
+    fn classify(&self, node: u32, id: HalfSpaceId) -> BoxRelation {
+        let (lo, hi) = self.corners(node).split_at(self.dr);
+        self.tests[id as usize].classify(self.coeffs_of(id), lo, hi)
+    }
+
+    /// Appends an empty leaf whose box has already been pushed onto `boxes`.
+    /// Its `P_l` has room for the most ids a leaf holds without splitting.
+    fn push_leaf(&mut self, depth: u32, parent: u32) {
+        self.nodes.push(QNode {
+            depth,
+            parent,
+            children: None,
+            head: NIL,
+            tail: NIL,
+            containment_len: 0,
+            partial: Vec::with_capacity(self.config.split_threshold + 1),
+        });
+    }
+
+    fn push_containment(&mut self, node: u32, id: HalfSpaceId) {
+        let link = u32::try_from(self.links.len()).expect("fewer than 2^32 containment links");
+        self.links.push(Link { id, next: NIL });
+        let node = &mut self.nodes[node as usize];
+        match node.tail {
+            NIL => node.head = link,
+            tail => self.links[tail as usize].next = link,
+        }
+        node.tail = link;
+        node.containment_len += 1;
+    }
+
+    fn needs_split(&self, node: u32) -> bool {
+        let node = &self.nodes[node as usize];
+        node.partial.len() > self.config.split_threshold
+            && (node.depth as usize) < self.config.max_depth
+    }
+
+    fn insert_into(&mut self, node: u32, id: HalfSpaceId) {
+        match self.classify(node, id) {
             BoxRelation::Disjoint => {}
-            BoxRelation::Contained => self.nodes[node_idx].containment.push(id),
-            BoxRelation::Overlapping => {
-                let children = match &mut self.nodes[node_idx].kind {
-                    NodeKind::Leaf { partial } => {
-                        partial.push(id);
-                        let should_split = partial.len() > self.config.split_threshold
-                            && self.nodes[node_idx].depth < self.config.max_depth;
-                        if should_split {
-                            self.split_leaf(node_idx);
-                        }
-                        return;
+            BoxRelation::Contained => self.push_containment(node, id),
+            BoxRelation::Overlapping => match self.nodes[node as usize].children.clone() {
+                Some(children) => children.for_each(|child| self.insert_into(child, id)),
+                None => {
+                    self.nodes[node as usize].partial.push(id);
+                    if self.needs_split(node) {
+                        self.split_leaf(node);
                     }
-                    NodeKind::Internal { children } => children.clone(),
-                };
-                for child in children {
-                    self.insert_into(child, id);
                 }
-            }
+            },
         }
     }
 
-    /// Splits a leaf into its quadrants, redistributing its partial-overlap
-    /// set.  Children fully outside the permissible simplex are discarded.
-    fn split_leaf(&mut self, node_idx: usize) {
-        let (bounds, depth, partial) = {
-            let node = &mut self.nodes[node_idx];
-            let partial = match &mut node.kind {
-                NodeKind::Leaf { partial } => std::mem::take(partial),
-                NodeKind::Internal { .. } => unreachable!("split_leaf on internal node"),
-            };
-            (node.bounds.clone(), node.depth, partial)
-        };
-        let first = self.nodes.len();
-        for quadrant in bounds.quadrants() {
+    /// Splits a leaf into its quadrants, in lexicographic order of the child
+    /// index bits (bit `i` selects the upper half along dimension `i`),
+    /// redistributing its partial-overlap set.  Children fully outside the
+    /// permissible simplex are discarded.
+    fn split_leaf(&mut self, node: u32) {
+        let dr = self.dr;
+        let partial = std::mem::take(&mut self.nodes[node as usize].partial);
+        let depth = self.nodes[node as usize].depth + 1;
+        let at = node as usize * 2 * dr;
+        let first = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+        for mask in 0..1usize << dr {
+            let child = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
+            for upper in [false, true] {
+                for i in 0..dr {
+                    let (lo, hi) = (self.boxes[at + i], self.boxes[at + dr + i]);
+                    let mid = 0.5 * (lo + hi);
+                    self.boxes.push(match (mask >> i & 1 == 1, upper) {
+                        (false, false) => lo,
+                        (true, true) => hi,
+                        _ => mid,
+                    });
+                }
+            }
             // Drop quadrants completely outside Σ q_i < 1.
-            if quadrant.relation_to(&self.simplex) == BoxRelation::Disjoint {
+            let (lo, hi) = self.corners(child).split_at(dr);
+            if self.simplex_test.classify(&self.simplex.coeffs, lo, hi) == BoxRelation::Disjoint {
+                self.boxes.truncate(child as usize * 2 * dr);
                 continue;
             }
-            let mut containment = Vec::new();
-            let mut child_partial = Vec::new();
+            self.push_leaf(depth, node);
             for &hid in &partial {
-                match quadrant.relation_to(&self.halfspaces[hid as usize]) {
-                    BoxRelation::Contained => containment.push(hid),
-                    BoxRelation::Overlapping => child_partial.push(hid),
+                match self.classify(child, hid) {
+                    BoxRelation::Contained => self.push_containment(child, hid),
+                    BoxRelation::Overlapping => self.nodes[child as usize].partial.push(hid),
                     BoxRelation::Disjoint => {}
                 }
             }
-            let child = QNode {
-                bounds: quadrant,
-                depth: depth + 1,
-                parent: Some(node_idx),
-                containment,
-                kind: NodeKind::Leaf {
-                    partial: child_partial,
-                },
-            };
-            self.nodes.push(child);
         }
-        let children = first..self.nodes.len();
-        self.nodes[node_idx].kind = NodeKind::Internal {
-            children: children.clone(),
-        };
+        let children = first..self.nodes.len() as u32;
+        self.nodes[node as usize].children = Some(children.clone());
         // Recursively split children that are still over the threshold.
         for child in children {
-            let needs_split = match &self.nodes[child].kind {
-                NodeKind::Leaf { partial } => {
-                    partial.len() > self.config.split_threshold
-                        && self.nodes[child].depth < self.config.max_depth
-                }
-                NodeKind::Internal { .. } => false,
-            };
-            if needs_split {
+            if self.needs_split(child) {
                 self.split_leaf(child);
             }
         }
@@ -262,7 +325,7 @@ impl HalfSpaceQuadTree {
         LeafWalk {
             tree: self,
             cap: cap.unwrap_or(usize::MAX),
-            stack: vec![(self.root, 0)],
+            stack: vec![(0, 0)],
         }
     }
 
@@ -270,26 +333,28 @@ impl HalfSpaceQuadTree {
     /// union of the containment sets on the root-to-node path, root first.
     pub fn full_containment(&self, node: usize) -> Vec<HalfSpaceId> {
         let mut path = Vec::new();
-        let mut at = Some(node);
-        while let Some(idx) = at {
-            path.push(idx);
-            at = self.nodes[idx].parent;
+        let mut at = node as u32;
+        while at != NIL {
+            path.push(at);
+            at = self.nodes[at as usize].parent;
         }
-        path.iter()
-            .rev()
-            .flat_map(|&idx| self.nodes[idx].containment.iter().copied())
-            .collect()
+        let mut full = Vec::new();
+        for &idx in path.iter().rev() {
+            let mut link = self.nodes[idx as usize].head;
+            while link != NIL {
+                full.push(self.links[link as usize].id);
+                link = self.links[link as usize].next;
+            }
+        }
+        full
     }
 
     /// For a single point of the reduced query space, the ids of all inserted
     /// half-spaces containing it (reference implementation used by tests and
     /// oracles; linear in the number of half-spaces).
     pub fn containing_halfspaces(&self, q: &[f64]) -> Vec<HalfSpaceId> {
-        self.halfspaces
-            .iter()
-            .enumerate()
-            .filter(|(_, h)| h.contains(q))
-            .map(|(i, _)| i as HalfSpaceId)
+        (0..self.halfspace_count() as HalfSpaceId)
+            .filter(|&id| self.halfspace(id).contains(q))
             .collect()
     }
 }
@@ -301,7 +366,7 @@ pub struct LeafWalk<'a> {
     tree: &'a HalfSpaceQuadTree,
     cap: usize,
     /// Nodes still to visit, each with the `|F|` of its parent.
-    stack: Vec<(usize, usize)>,
+    stack: Vec<(u32, usize)>,
 }
 
 impl<'a> Iterator for LeafWalk<'a> {
@@ -309,21 +374,21 @@ impl<'a> Iterator for LeafWalk<'a> {
 
     fn next(&mut self) -> Option<LeafRef<'a>> {
         while let Some((idx, inherited)) = self.stack.pop() {
-            let node = &self.tree.nodes[idx];
-            let full_len = inherited + node.containment.len();
+            let node = &self.tree.nodes[idx as usize];
+            let full_len = inherited + node.containment_len as usize;
             if full_len > self.cap {
                 continue;
             }
-            match &node.kind {
-                NodeKind::Leaf { partial } => {
+            match &node.children {
+                None => {
                     return Some(LeafRef {
-                        node: idx,
-                        bounds: &node.bounds,
+                        node: idx as usize,
+                        corners: self.tree.corners(idx),
                         full_len,
-                        partial,
-                    })
+                        partial: &node.partial,
+                    });
                 }
-                NodeKind::Internal { children } => self
+                Some(children) => self
                     .stack
                     .extend(children.clone().rev().map(|child| (child, full_len))),
             }
@@ -335,7 +400,6 @@ impl<'a> Iterator for LeafWalk<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use proptest::prelude::*;
 
     fn hs(coeffs: &[f64], rhs: f64) -> HalfSpace {
         HalfSpace::new(coeffs.to_vec(), rhs)
@@ -407,13 +471,13 @@ mod tests {
             // Classification must be geometrically correct.
             for &id in &full {
                 assert_eq!(
-                    leaf.bounds.relation_to(t.halfspace(id)),
+                    leaf.bounds().relation_to(&t.halfspace(id)),
                     BoxRelation::Contained
                 );
             }
             for &id in leaf.partial {
                 assert_eq!(
-                    leaf.bounds.relation_to(t.halfspace(id)),
+                    leaf.bounds().relation_to(&t.halfspace(id)),
                     BoxRelation::Overlapping
                 );
             }
@@ -451,7 +515,7 @@ mod tests {
             assert_eq!(full.len(), leaf.full_len);
             for id in 0..t.halfspace_count() as HalfSpaceId {
                 let h = t.halfspace(id);
-                let rel = leaf.bounds.relation_to(h);
+                let rel = leaf.bounds().relation_to(&h);
                 let in_full = full.contains(&id);
                 let in_partial = leaf.partial.contains(&id);
                 match rel {
@@ -479,11 +543,11 @@ mod tests {
         t.insert(hs(&[-1.0, 1.0], 0.0));
         assert!(t.leaf_count() > 1);
         for leaf in t.leaf_walk(None) {
-            let lo_sum: f64 = leaf.bounds.lo.iter().sum();
+            let lo_sum: f64 = leaf.lo().iter().sum();
             assert!(
                 lo_sum < 1.0 - 1e-9,
                 "leaf entirely outside the simplex must not exist: {:?}",
-                leaf.bounds
+                leaf.lo()
             );
         }
     }
@@ -511,7 +575,7 @@ mod tests {
             .map(|l| {
                 // Depth can be inferred from the side length (unit box halved
                 // per level).
-                let side = l.bounds.extent(0);
+                let side = l.hi()[0] - l.lo()[0];
                 (1.0 / side).log2().round() as usize
             })
             .max()
@@ -534,78 +598,5 @@ mod tests {
             QuadTreeConfig::for_reduced_dims(1).max_depth
                 > QuadTreeConfig::for_reduced_dims(7).max_depth
         );
-    }
-
-    /// The reference `F_l`: the recursive walk that carries the union of the
-    /// containment sets down the root-to-leaf path, in walk order.
-    fn brute_force_leaves(t: &HalfSpaceQuadTree) -> Vec<(usize, Vec<HalfSpaceId>)> {
-        fn rec(
-            t: &HalfSpaceQuadTree,
-            idx: usize,
-            inherited: &[HalfSpaceId],
-            out: &mut Vec<(usize, Vec<HalfSpaceId>)>,
-        ) {
-            let node = &t.nodes[idx];
-            let full = [inherited, &node.containment].concat();
-            match &node.kind {
-                NodeKind::Leaf { .. } => out.push((idx, full)),
-                NodeKind::Internal { children } => {
-                    for child in children.clone() {
-                        rec(t, child, &full, out);
-                    }
-                }
-            }
-        }
-        let mut out = Vec::new();
-        rec(t, t.root, &[], &mut out);
-        out
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// For random insert sequences and caps, the capped walk yields
-        /// exactly the uncapped walk's leaves with `|F_l| ≤ cap`, in the same
-        /// order, and every leaf's rebuilt `F_l` equals the brute-force
-        /// root-to-leaf union of containment sets.
-        #[test]
-        fn capped_walk_and_rebuilt_full_sets_match_brute_force(
-            dr in 1usize..4,
-            threshold in 1usize..8,
-            specs in prop::collection::vec(
-                (prop::collection::vec(-1.0f64..1.0, 3), -0.8f64..0.8),
-                0..40,
-            ),
-            cap in 0usize..12,
-        ) {
-            let mut t = HalfSpaceQuadTree::with_config(
-                dr,
-                QuadTreeConfig { split_threshold: threshold, max_depth: 4 },
-            );
-            for (coeffs, rhs) in specs {
-                let coeffs = coeffs[..dr].to_vec();
-                if coeffs.iter().any(|c| c.abs() > 1e-6) {
-                    t.insert(HalfSpace::new(coeffs, rhs));
-                }
-            }
-            let reference = brute_force_leaves(&t);
-            let all: Vec<LeafRef<'_>> = t.leaf_walk(None).collect();
-            prop_assert_eq!(all.len(), t.leaf_count());
-            prop_assert_eq!(
-                all.iter().map(|l| l.node).collect::<Vec<_>>(),
-                reference.iter().map(|(node, _)| *node).collect::<Vec<_>>()
-            );
-            for (leaf, (_, full)) in all.iter().zip(&reference) {
-                prop_assert_eq!(leaf.full_len, full.len());
-                prop_assert_eq!(&t.full_containment(leaf.node), full);
-            }
-            let capped: Vec<usize> = t.leaf_walk(Some(cap)).map(|l| l.node).collect();
-            let filtered: Vec<usize> = all
-                .iter()
-                .filter(|l| l.full_len <= cap)
-                .map(|l| l.node)
-                .collect();
-            prop_assert_eq!(capped, filtered);
-        }
     }
 }

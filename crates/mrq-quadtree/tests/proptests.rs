@@ -49,7 +49,7 @@ proptest! {
         for leaf in qt.leaf_walk(None) {
             let full = qt.full_containment(leaf.node);
             for id in 0..qt.halfspace_count() as u32 {
-                let rel = leaf.bounds.relation_to(qt.halfspace(id));
+                let rel = leaf.bounds().relation_to(&qt.halfspace(id));
                 let in_full = full.contains(&id);
                 let in_partial = leaf.partial.contains(&id);
                 match rel {
@@ -76,7 +76,7 @@ proptest! {
         // Find the leaf containing the point.
         let leaf = qt
             .leaf_walk(None)
-            .find(|l| l.bounds.contains(&point))
+            .find(|l| l.bounds().contains(&point))
             .expect("the leaves cover the unit box");
         prop_assert!(leaf.full_len <= direct);
         prop_assert!(direct <= leaf.full_len + leaf.partial.len());

@@ -626,7 +626,9 @@ mod tests {
 
     #[test]
     fn result_cache_shared_across_threads() {
-        let cache = Arc::new(ResultCache::new(64));
+        // Room for every key, so no thread's insert can evict another
+        // thread's key between its insert and get.
+        let cache = Arc::new(ResultCache::new(256));
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let cache = Arc::clone(&cache);
@@ -641,6 +643,17 @@ mod tests {
         });
         let s = cache.stats();
         assert_eq!(s.hits, 200);
+        assert_eq!(s.len, 200);
+        assert_eq!(s.evictions, 0);
+    }
+
+    #[test]
+    fn result_cache_evicts_beyond_capacity() {
+        let cache = ResultCache::new(64);
+        for i in 0..200 {
+            cache.insert(key(i), dummy_result());
+        }
+        let s = cache.stats();
         assert_eq!(s.len, 64);
         assert_eq!(s.evictions, 200 - 64);
     }

@@ -8,8 +8,9 @@
 //! Faults are injected through the `MRQ_STORAGE_FAIL_WAL_IO` hook
 //! (`mrq_data::storage::set_wal_fail_mode`), the runtime-settable sibling
 //! of PR 6's `MRQ_STORAGE_CRASH_WAL_BYTES` abort hook.  The hook state is
-//! process-global, so every test in this binary serializes on one mutex
-//! and restores `Off` before releasing it.
+//! process-global, so every test in this binary holds one mutex for its
+//! whole body (healthy-disk updates included) and restores `Off` before
+//! releasing it.
 
 use mrq_data::storage::{set_wal_fail_mode, WalFailMode};
 use mrq_data::{synthetic, Dataset, Distribution, Update};
@@ -23,17 +24,22 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 const DATASET: &str = "frail";
 
-/// Serializes tests toggling the process-global fault hook.
+/// Serializes the tests of this binary: a sibling's injected fault must not
+/// hit another test's healthy-disk updates.
 static HOOK: Mutex<()> = Mutex::new(());
 
-/// RAII guard: holds the serialization lock and always restores `Off`.
-struct FaultGuard(#[allow(dead_code)] MutexGuard<'static, ()>);
+fn serialize() -> MutexGuard<'static, ()> {
+    HOOK.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// RAII guard: sets the fault mode and always restores `Off`.  Only taken
+/// while [`HOOK`] is held.
+struct FaultGuard;
 
 impl FaultGuard {
     fn engage(mode: WalFailMode) -> Self {
-        let guard = HOOK.lock().unwrap_or_else(PoisonError::into_inner);
         set_wal_fail_mode(mode);
-        Self(guard)
+        Self
     }
 }
 
@@ -83,6 +89,7 @@ fn insert(x: f64) -> Vec<Update> {
 /// serving + typed errors + observability, then restart on a healthy disk
 /// and verify the mode cleared and updates flow again.
 fn degrade_and_recover(mode: WalFailMode, tag: &str) {
+    let _serial = serialize();
     let dir = scratch_dir(tag);
     let (registry, service) = durable_service(&dir);
 
@@ -184,6 +191,7 @@ fn disk_full_degrades_to_read_only_and_restart_recovers() {
 
 #[test]
 fn manual_checkpoint_of_a_degraded_dataset_is_refused() {
+    let _serial = serialize();
     let dir = scratch_dir("checkpoint");
     let (registry, service) = durable_service(&dir);
     service.update(DATASET, &insert(0.25)).unwrap();
