@@ -6,8 +6,8 @@
 //! range `[2^m, 2^(m+1))` above that is split into 16 equal sub-buckets, so
 //! any recorded value lands in a bucket whose width is at most 1/16 of its
 //! lower bound (≤ 6.25 % relative quantile error).  The full `u64` range
-//! fits in 976 buckets — about 8 KiB per shard — so each load-driver thread
-//! records into a private shard and the shards are merged by plain count
+//! fits in 976 buckets — about 8 KiB per shard — so each recording thread
+//! can keep a private shard and the shards are merged by plain count
 //! addition at the end (merging is associative and commutative, which the
 //! property tests pin down).
 //!

@@ -18,12 +18,10 @@
 pub mod baseline;
 pub mod experiments;
 pub mod histogram;
-pub mod load;
 pub mod runner;
 pub mod scale;
 
 pub use histogram::LogHistogram;
-pub use load::{LoadConfig, LoadReport, OpKind};
 pub use runner::{measure, Measurement};
 pub use scale::Scale;
 

@@ -90,14 +90,20 @@ pub fn run_point(
         orders.push(current);
     }
 
-    let min_order = *orders.iter().min().expect("at least one interval exists");
+    // Coincident events produce zero-length intervals. They hold no region,
+    // so they take no part in k* either.
+    let kept = |i: usize| boundaries[i + 1] - boundaries[i] >= 10.0 * EPS;
+    let min_order = (0..orders.len())
+        .filter(|&i| kept(i))
+        .map(|i| orders[i])
+        .min()
+        .expect("the intervals cover [0, 1]");
     let mut regions = Vec::new();
     for (i, &order) in orders.iter().enumerate() {
-        let lo = boundaries[i];
-        let hi = boundaries[i + 1];
-        if hi - lo < 10.0 * EPS {
-            continue; // zero-length interval produced by coincident events
+        if !kept(i) {
+            continue;
         }
+        let (lo, hi) = (boundaries[i], boundaries[i + 1]);
         if order > min_order + tau {
             continue;
         }

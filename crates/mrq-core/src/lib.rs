@@ -37,11 +37,9 @@ pub mod maintain;
 pub mod oracle;
 pub mod query;
 pub mod result;
-pub mod reverse_topk;
 pub mod withinleaf;
 
 pub use maintain::{classify_delta, shift_result, triage_delete, triage_insert};
 pub use maintain::{DeltaClass, DeltaTriage};
 pub use query::{Algorithm, MaxRankConfig, MaxRankQuery};
 pub use result::{MaxRankResult, QueryStats, ResultRegion};
-pub use reverse_topk::{reverse_top_k, reverse_top_k_point, ReverseTopK};

@@ -434,3 +434,54 @@ fn case_table_covers_the_advertised_matrix() {
     assert!(CASES.iter().any(|c| c.d == 4));
     assert!(CASES.iter().any(|c| c.exhaustive) && CASES.iter().any(|c| !c.exhaustive));
 }
+
+/// Integer-grid data is full of ties: records that coincide, and half-lines
+/// that cross the sweep axis at the same point. Coincident events create
+/// zero-length sweep intervals, which carry no region, so they must not
+/// define `k*` either. Each dataset has 40 rows on the grid `{1/L, …, L/L}²`
+/// plus two exact copies of row 0.
+#[test]
+fn fca_ties_on_integer_grid_with_duplicate_focal() {
+    use rand::Rng;
+    for seed in 0..20u64 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let l = 3 + seed % 4;
+        let mut rows: Vec<Vec<f64>> = (0..40)
+            .map(|_| {
+                (0..2)
+                    .map(|_| rng.gen_range(1..=l) as f64 / l as f64)
+                    .collect()
+            })
+            .collect();
+        rows.push(rows[0].clone());
+        rows.push(rows[0].clone());
+        let data = Dataset::from_rows(2, &rows);
+        let tree = RStarTree::bulk_load(&data);
+        let engine = MaxRankQuery::new(&data, &tree);
+        for focal in [0u32, 3, 7, 11] {
+            let p = data.record(focal).to_vec();
+            let ex = oracle::exhaustive(&data, &p, Some(focal), 0);
+            for algo in algorithms(2) {
+                let config = MaxRankConfig {
+                    algorithm: algo,
+                    ..MaxRankConfig::new()
+                };
+                let res = engine.evaluate(focal, &config);
+                assert_eq!(
+                    res.k_star,
+                    ex.k_star,
+                    "seed {seed} focal {focal}: {} k* {} vs oracle k* {}",
+                    algo.name(),
+                    res.k_star,
+                    ex.k_star
+                );
+                assert!(
+                    ex.regions.is_empty() || !res.regions.is_empty(),
+                    "seed {seed} focal {focal}: {} reports no region at k* {}",
+                    algo.name(),
+                    res.k_star
+                );
+            }
+        }
+    }
+}

@@ -16,7 +16,6 @@
 
 use crate::boxes::BoundingBox;
 use crate::halfspace::HalfSpace;
-use crate::vector::score;
 use crate::EPS;
 
 /// Builds the half-space of the reduced query space in which record `r`
@@ -127,21 +126,10 @@ pub fn expand_query(reduced: &[f64]) -> Vec<f64> {
     q
 }
 
-/// Checks the defining property of the mapping: `r` scores above `p` under
-/// the expanded query iff the reduced query lies in the record's half-space.
-/// Exposed for tests and the oracle implementations.
-pub fn mapping_consistent(r: &[f64], p: &[f64], reduced_q: &[f64], tol: f64) -> bool {
-    let h = halfspace_for_record(r, p);
-    let q = expand_query(reduced_q);
-    let diff = score(r, &q) - score(p, &q);
-    let slack = h.slack(reduced_q);
-    // Same sign (up to tolerance) — in fact the two quantities are equal.
-    (diff - slack).abs() <= tol
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::vector::score;
     use rand::prelude::*;
 
     #[test]
@@ -171,7 +159,10 @@ mod tests {
                 let s: f64 = q.iter().sum();
                 q.iter_mut().for_each(|v| *v /= s);
                 let reduced = &q[..d - 1];
-                assert!(mapping_consistent(&r, &p, reduced, 1e-9));
+                let slack = halfspace_for_record(&r, &p).slack(reduced);
+                let full = expand_query(reduced);
+                let diff = score(&r, &full) - score(&p, &full);
+                assert!((diff - slack).abs() <= 1e-9);
             }
         }
     }

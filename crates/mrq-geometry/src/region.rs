@@ -156,23 +156,6 @@ impl Region {
         }
         self.bounds.volume() * hits as f64 / samples as f64
     }
-
-    /// Draws up to `attempts` box samples and returns those inside the region
-    /// (useful for picking representative query vectors to show a user).
-    pub fn sample_points<R: rand::Rng>(&self, rng: &mut R, attempts: usize) -> Vec<Vec<f64>> {
-        let dim = self.dim();
-        let mut out = Vec::new();
-        let mut x = vec![0.0; dim];
-        for _ in 0..attempts {
-            for (i, xi) in x.iter_mut().enumerate() {
-                *xi = self.bounds.lo[i] + rng.gen::<f64>() * self.bounds.extent(i);
-            }
-            if self.contains(&x) {
-                out.push(x.clone());
-            }
-        }
-        out
-    }
 }
 
 /// Builds a one-dimensional [`Region`] for the open interval `(lo, hi)` of
@@ -262,22 +245,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let v = r.estimate_volume(&mut rng, 20_000);
         assert!((v - 0.5).abs() < 0.02, "estimated {v}");
-    }
-
-    #[test]
-    fn sampled_points_are_inside() {
-        let spec = CellSpec::new(
-            vec![hs(&[1.0, 1.0], 0.8)],
-            vec![hs(&[1.0, 0.0], 0.9)],
-            BoundingBox::unit(2),
-        );
-        let r = spec.solve().unwrap();
-        let mut rng = StdRng::seed_from_u64(11);
-        let pts = r.sample_points(&mut rng, 200);
-        assert!(!pts.is_empty());
-        for p in pts {
-            assert!(r.contains(&p));
-        }
     }
 
     #[test]

@@ -40,29 +40,6 @@ pub fn l1_norm(a: &[f64]) -> f64 {
     a.iter().map(|x| x.abs()).sum()
 }
 
-/// Returns `true` when the two vectors differ by at most `tol` in every
-/// coordinate.
-#[inline]
-pub fn approx_eq(a: &[f64], b: &[f64], tol: f64) -> bool {
-    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| (x - y).abs() <= tol)
-}
-
-/// Normalises a query vector so that its components sum to one, yielding a
-/// *permissible* query vector in the sense of the paper (Section 3).
-///
-/// Returns `None` if the components are not all strictly positive or if the
-/// sum is zero.
-pub fn normalize_query(q: &[f64]) -> Option<Vec<f64>> {
-    if q.iter().any(|&x| x <= 0.0) {
-        return None;
-    }
-    let s: f64 = q.iter().sum();
-    if s <= 0.0 {
-        return None;
-    }
-    Some(q.iter().map(|x| x / s).collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,45 +75,5 @@ mod tests {
     fn norms() {
         assert!((l2_norm(&[3.0, 4.0]) - 5.0).abs() < 1e-12);
         assert!((l1_norm(&[-3.0, 4.0]) - 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn approx_eq_tolerance() {
-        assert!(approx_eq(&[1.0, 2.0], &[1.0 + 1e-12, 2.0 - 1e-12], 1e-9));
-        assert!(!approx_eq(&[1.0], &[1.1], 1e-3));
-        assert!(!approx_eq(&[1.0], &[1.0, 2.0], 1.0));
-    }
-
-    #[test]
-    fn normalize_query_rescales() {
-        let q = normalize_query(&[2.0, 6.0]).unwrap();
-        assert!(approx_eq(&q, &[0.25, 0.75], 1e-12));
-    }
-
-    #[test]
-    fn normalize_query_rejects_nonpositive() {
-        assert!(normalize_query(&[0.0, 1.0]).is_none());
-        assert!(normalize_query(&[-1.0, 2.0]).is_none());
-    }
-
-    #[test]
-    fn normalization_preserves_ranking() {
-        // The paper argues ranking depends only on the direction of q.
-        let records = [[0.8, 0.9], [0.2, 0.7], [0.9, 0.4]];
-        let raw = [2.0, 3.0];
-        let norm = normalize_query(&raw).unwrap();
-        let mut by_raw: Vec<usize> = (0..records.len()).collect();
-        let mut by_norm = by_raw.clone();
-        by_raw.sort_by(|&a, &b| {
-            score(&records[b], &raw)
-                .partial_cmp(&score(&records[a], &raw))
-                .unwrap()
-        });
-        by_norm.sort_by(|&a, &b| {
-            score(&records[b], &norm)
-                .partial_cmp(&score(&records[a], &norm))
-                .unwrap()
-        });
-        assert_eq!(by_raw, by_norm);
     }
 }

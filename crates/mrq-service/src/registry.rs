@@ -283,11 +283,6 @@ impl DatasetHandle {
         }
     }
 
-    /// Whether this dataset is backed by an on-disk store.
-    pub fn is_durable(&self) -> bool {
-        self.durable.is_some()
-    }
-
     /// Checkpoints a durable dataset now (no-op returning `false` for an
     /// in-memory one): rewrites the snapshot at the current version and
     /// truncates the WAL.
