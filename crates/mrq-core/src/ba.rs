@@ -23,11 +23,14 @@ pub struct AlgoConfig {
     /// dimensionality.
     pub quadtree: Option<QuadTreeConfig>,
     /// Whether the within-leaf module uses the pairwise containment
-    /// conditions of Section 5.2 (subject of an ablation experiment).
+    /// conditions of Section 5.2 (subject of an ablation experiment).  Steers
+    /// the LP path only (d ≥ 4); d = 3 takes the planar path, which has no
+    /// candidates to prune.
     pub pair_pruning: bool,
     /// Whether the within-leaf module proves candidate cells non-empty from
     /// cached witness points before resorting to an LP.  The answer is
-    /// identical either way (subject of an ablation experiment).
+    /// identical either way (subject of an ablation experiment).  Steers the
+    /// LP path only (d ≥ 4); the planar path (d = 3) ignores it.
     pub witness_cache: bool,
     /// Number of threads the within-leaf cell enumeration shards its
     /// candidate-leaf frontier over (1 = sequential).  The answer is

@@ -73,10 +73,11 @@ pub struct MaxRankConfig {
     pub tau: usize,
     /// Algorithm selection.
     pub algorithm: Algorithm,
-    /// Whether the within-leaf pairwise pruning conditions are used.
+    /// Whether the within-leaf pairwise pruning conditions are used (BA / AA
+    /// on the LP path, d ≥ 4, only; d = 3 takes the planar path).
     pub pair_pruning: bool,
-    /// Whether the within-leaf witness cache is used (BA / AA only; the
-    /// answer is identical either way).
+    /// Whether the within-leaf witness cache is used (BA / AA on the LP
+    /// path, d ≥ 4, only; the answer is identical either way).
     pub witness_cache: bool,
     /// Optional quad-tree tuning (BA / AA only).
     pub quadtree: Option<QuadTreeConfig>,

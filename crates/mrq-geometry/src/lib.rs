@@ -12,6 +12,8 @@
 //! * [`reduced`] — the record → half-space mapping of Section 5 of the paper,
 //! * [`lp`] — a dense two-phase simplex used to decide whether a cell of the
 //!   arrangement has non-zero extent (the role Qhull plays in the paper),
+//! * [`polygon`] — convex polygons split by lines, which build the cells of a
+//!   leaf directly in the plane (d = 3),
 //! * [`region`] — convex result regions (H-representation + interior witness).
 //!
 //! Everything is `f64`-based; the numerical tolerances used throughout are
@@ -20,6 +22,7 @@
 pub mod boxes;
 pub mod halfspace;
 pub mod lp;
+pub mod polygon;
 pub mod reduced;
 pub mod region;
 pub mod vector;
@@ -27,6 +30,7 @@ pub mod vector;
 pub use boxes::{BoundingBox, BoxRelation, PreparedHalfSpace};
 pub use halfspace::{HalfSpace, Hyperplane};
 pub use lp::{maximize, maximize_with, LpOutcome, LpScratch, LpStatus};
+pub use polygon::{Polygon, Split};
 pub use reduced::{
     halfline_for_record, halfspace_for_record, reduced_simplex_constraint, reduced_space_box,
     HalfLine2d,

@@ -13,8 +13,11 @@
 //! maximise  c · y      subject to  A y ≤ b,   y ≥ 0
 //! ```
 //!
-//! with arbitrary-sign `b` (phase 1 introduces artificial variables), using
-//! Bland's rule for anti-cycling.  Problem sizes in MaxRank are tiny (at most
+//! with arbitrary-sign `b` (phase 1 introduces artificial variables).  The
+//! entering column follows Bland's rule; the leaving row comes from a Harris
+//! two-pass ratio test, which picks the largest pivot among the rows that
+//! block within a small tolerance, so coincident and near-parallel
+//! constraints do not make the solver pivot on round-off.  Problem sizes in MaxRank are tiny (at most
 //! a few dozen constraints over at most ten variables), so a dense tableau is
 //! both the simplest and the fastest representation.
 
@@ -91,6 +94,8 @@ impl LpScratch {
 
 const PIVOT_TOL: f64 = 1e-10;
 const FEAS_TOL: f64 = 1e-7;
+/// Infeasibility a row may take on in the first pass of the ratio test.
+const HARRIS_TOL: f64 = 1e-9;
 /// Hard cap on simplex pivots; problems in this workspace are tiny, so hitting
 /// the cap indicates numerical trouble and is reported as infeasible (safe for
 /// MaxRank: a cell is then conservatively treated as empty).
@@ -162,22 +167,25 @@ impl Tableau<'_> {
             let Some(pc) = entering else {
                 return true; // optimal
             };
-            // Ratio test with Bland's tie-break on the leaving basic variable.
-            let mut leaving: Option<(usize, f64)> = None;
+            // Harris two-pass ratio test: the longest step every row allows
+            // when each may end up HARRIS_TOL infeasible, then the largest
+            // pivot among the rows that block within that step.  Tiny
+            // pivots on degenerate rows would otherwise wreck the tableau.
+            let mut step = f64::INFINITY;
             for r in 0..m {
                 let a = self.at(r, pc);
                 if a > PIVOT_TOL {
-                    let ratio = self.at(r, rhs_col) / a;
-                    match leaving {
-                        None => leaving = Some((r, ratio)),
-                        Some((lr, lratio)) => {
-                            if ratio < lratio - PIVOT_TOL
-                                || (ratio < lratio + PIVOT_TOL && self.basis[r] < self.basis[lr])
-                            {
-                                leaving = Some((r, ratio));
-                            }
-                        }
-                    }
+                    step = step.min((self.at(r, rhs_col).max(0.0) + HARRIS_TOL) / a);
+                }
+            }
+            let mut leaving: Option<(usize, f64)> = None;
+            for r in 0..m {
+                let a = self.at(r, pc);
+                if a > PIVOT_TOL
+                    && self.at(r, rhs_col).max(0.0) / a <= step
+                    && leaving.is_none_or(|(_, best)| a > best)
+                {
+                    leaving = Some((r, a));
                 }
             }
             let Some((pr, _)) = leaving else {
@@ -439,6 +447,66 @@ mod tests {
                 assert!((0.25 - 1e-7..=1.0 + 1e-7).contains(&s));
             }
             other => panic!("expected optimal, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn near_parallel_rows_yield_a_feasible_optimum() {
+        // A cell LP (max ε s.t. a·x + ε ≤ b per row) with a near-parallel
+        // pair and duplicated rows.  With Bland's rule on the leaving row
+        // too, the solver reported ε = 1.27e-3 at a point 4e-5 outside row 4.
+        // The cell holds a point 5.4e-4 clear of every row.
+        use std::f64::consts::FRAC_1_SQRT_2;
+        let rows: [([f64; 2], f64); 15] = [
+            (
+                [-0.1192414853884242, -0.9928652819805728],
+                -0.244272137973364,
+            ),
+            ([-FRAC_1_SQRT_2, FRAC_1_SQRT_2], 0.6481812160876685),
+            ([0.7071067811865475, 0.7071067811865475], 0.7071067811865475),
+            ([0.7071067811865475, 0.7071067811865475], 0.4714045207910316),
+            (
+                [-0.9982103691691223, 0.059800157886451405],
+                -0.2749511659351908,
+            ),
+            (
+                [-0.97979107016738, 0.20002364565285846],
+                -0.2378294526081723,
+            ),
+            (
+                [0.8206762964510652, -0.5713933990197676],
+                0.11371701566549611,
+            ),
+            (
+                [0.8206763021649991, -0.5713933908130046],
+                0.11371701899882944,
+            ),
+            ([1.0, -0.0], 0.3125),
+            (
+                [-0.7071067811865475, 0.7071067811865475],
+                0.6481812160876685,
+            ),
+            (
+                [-0.3999782757941519, -0.9165246199053996],
+                -0.31298365067141143,
+            ),
+            ([-1.0, 0.0], -0.28125),
+            ([1.0, 0.0], 0.3125),
+            ([0.0, -1.0], -0.1875),
+            ([0.0, 1.0], 0.21875),
+        ];
+        let mut a: Vec<Vec<f64>> = rows.iter().map(|(c, _)| vec![c[0], c[1], 1.0]).collect();
+        let mut b: Vec<f64> = rows.iter().map(|(_, r)| *r).collect();
+        a.push(vec![0.0, 0.0, 1.0]);
+        b.push(0.5);
+        let out = maximize(&[0.0, 0.0, 1.0], &a, &b);
+        let LpOutcome::Optimal { objective, point } = out else {
+            panic!("the cell is non-empty, got {out:?}");
+        };
+        assert!(objective >= 5.4e-4, "objective {objective}");
+        for (row, rhs) in a.iter().zip(&b) {
+            let lhs: f64 = row.iter().zip(&point).map(|(x, y)| x * y).sum();
+            assert!(lhs <= rhs + 1e-9, "row {row:?}: {lhs} > {rhs}");
         }
     }
 

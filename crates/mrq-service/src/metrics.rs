@@ -200,7 +200,7 @@ pub fn families(stats: &ServiceStats) -> Vec<Family> {
         (
             "mrq_dataset_cells_tested_total",
             Counter,
-            "Candidate cells decided per dataset (witness cache or LP).",
+            "Cells decided per dataset: candidate bit-strings on the LP path (witness cache or LP), leaf faces on the planar path (d = 3).",
             per_dataset(|q| q.cells_tested),
         ),
         (

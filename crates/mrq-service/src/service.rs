@@ -654,38 +654,49 @@ mod tests {
             ..ServiceConfig::default()
         });
         let registry = Arc::clone(service.registry());
-        registry
-            .register(
-                "d3",
-                &DatasetSpec::Synthetic {
-                    dist: mrq_data::Distribution::Independent,
-                    n: 60,
-                    d: 3,
-                    seed: 5,
-                },
-            )
-            .unwrap();
-        // Two distinct demo queries, one repeat (cache hit), one 3-d query.
+        for (name, d) in [("d3", 3), ("d4", 4)] {
+            registry
+                .register(
+                    name,
+                    &DatasetSpec::Synthetic {
+                        dist: mrq_data::Distribution::Independent,
+                        n: 60,
+                        d,
+                        seed: 5,
+                    },
+                )
+                .unwrap();
+        }
+        // Two distinct demo queries, one repeat (cache hit), one 3-d and one
+        // 4-d query.
         service.query(&QueryRequest::new("demo", 5)).unwrap();
         service.query(&QueryRequest::new("demo", 1)).unwrap();
         service.query(&QueryRequest::new("demo", 5)).unwrap();
         service.query(&QueryRequest::new("d3", 7)).unwrap();
+        service.query(&QueryRequest::new("d4", 7)).unwrap();
         let stats = service.stats();
-        assert_eq!(stats.per_dataset.len(), 2);
-        // Ordered by name: d3 before demo.
+        assert_eq!(stats.per_dataset.len(), 3);
+        // Ordered by name: d3, d4, demo.
         let d3 = &stats.per_dataset[0];
-        let demo = &stats.per_dataset[1];
+        let d4 = &stats.per_dataset[1];
+        let demo = &stats.per_dataset[2];
         assert_eq!(d3.dataset, "d3");
+        assert_eq!(d4.dataset, "d4");
         assert_eq!(demo.dataset, "demo");
         assert_eq!(demo.queries, 2);
         assert_eq!(demo.cache_hits, 1);
         assert_eq!(d3.queries, 1);
         assert_eq!(d3.cache_hits, 0);
-        // The 3-d evaluation runs the within-leaf module, so its LP /
-        // candidate counters must have moved.
+        assert_eq!(d4.queries, 1);
+        assert_eq!(d4.cache_hits, 0);
+        // The 3-d evaluation runs the within-leaf module's planar path, so
+        // its candidate counter must have moved; the 4-d one runs the LP
+        // path, so its LP counter must have moved too.
         assert!(d3.cells_tested > 0);
-        assert!(d3.lp_calls > 0);
         assert!(d3.io_reads > 0);
+        assert!(d4.cells_tested > 0);
+        assert!(d4.lp_calls > 0);
+        assert!(d4.io_reads > 0);
         service.shutdown();
     }
 
