@@ -21,6 +21,8 @@
 //! a few dozen constraints over at most ten variables), so a dense tableau is
 //! both the simplest and the fastest representation.
 
+use crate::EPS;
+
 /// Outcome of [`maximize`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum LpOutcome {
@@ -94,8 +96,6 @@ impl LpScratch {
 
 const PIVOT_TOL: f64 = 1e-10;
 const FEAS_TOL: f64 = 1e-7;
-/// Infeasibility a row may take on in the first pass of the ratio test.
-const HARRIS_TOL: f64 = 1e-9;
 /// Hard cap on simplex pivots; problems in this workspace are tiny, so hitting
 /// the cap indicates numerical trouble and is reported as infeasible (safe for
 /// MaxRank: a cell is then conservatively treated as empty).
@@ -168,14 +168,14 @@ impl Tableau<'_> {
                 return true; // optimal
             };
             // Harris two-pass ratio test: the longest step every row allows
-            // when each may end up HARRIS_TOL infeasible, then the largest
-            // pivot among the rows that block within that step.  Tiny
-            // pivots on degenerate rows would otherwise wreck the tableau.
+            // when each may end up EPS infeasible, then the largest pivot
+            // among the rows that block within that step.  Tiny pivots on
+            // degenerate rows would otherwise wreck the tableau.
             let mut step = f64::INFINITY;
             for r in 0..m {
                 let a = self.at(r, pc);
                 if a > PIVOT_TOL {
-                    step = step.min((self.at(r, rhs_col).max(0.0) + HARRIS_TOL) / a);
+                    step = step.min((self.at(r, rhs_col).max(0.0) + EPS) / a);
                 }
             }
             let mut leaving: Option<(usize, f64)> = None;
