@@ -16,10 +16,10 @@
 //! with arbitrary-sign `b` (phase 1 introduces artificial variables).  The
 //! entering column follows Bland's rule; the leaving row comes from a Harris
 //! two-pass ratio test, which picks the largest pivot among the rows that
-//! block within a small tolerance, so coincident and near-parallel
-//! constraints do not make the solver pivot on round-off.  Problem sizes in MaxRank are tiny (at most
-//! a few dozen constraints over at most ten variables), so a dense tableau is
-//! both the simplest and the fastest representation.
+//! block within [`EPS`], so coincident and near-parallel constraints do not
+//! make the solver pivot on round-off.  Problem sizes in MaxRank are tiny
+//! (at most a few dozen constraints over at most ten variables), so a dense
+//! tableau is both the simplest and the fastest representation.
 
 use crate::EPS;
 
