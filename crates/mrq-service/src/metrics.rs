@@ -309,6 +309,12 @@ pub fn families(stats: &ServiceStats) -> Vec<Family> {
             one(r.idle_disconnects),
         ),
         (
+            "mrq_slow_consumer_disconnects_total",
+            Counter,
+            "Subscriber connections cut because a NOTIFY write failed or stalled.",
+            one(r.slow_consumer_disconnects),
+        ),
+        (
             "mrq_update_dedup_hits_total",
             Counter,
             "Retried updates answered from the request-id dedup window.",
@@ -700,6 +706,7 @@ mod tests {
                 connections_shed: 6,
                 idle_disconnects: 2,
                 update_dedup_hits: 3,
+                slow_consumer_disconnects: 4,
             },
             degraded: vec!["demo".into()],
         }
@@ -743,6 +750,7 @@ mod tests {
             "mrq_subscription_full_reevals_total 1",
             "mrq_connections_shed_total 6",
             "mrq_idle_disconnects_total 2",
+            "mrq_slow_consumer_disconnects_total 4",
             "mrq_update_dedup_hits_total 3",
             "mrq_dataset_degraded{dataset=\"demo\"} 1",
         ] {

@@ -4,50 +4,48 @@
 //! Connection threads never evaluate queries themselves — they parse frames,
 //! enqueue jobs on the bounded pool ([`MrqService::try_enqueue`], so a full
 //! queue surfaces as a `queue full` error frame instead of unbounded
-//! buffering) and write the answer back.  Sockets use a short read timeout
-//! ([`ServerConfig::poll_interval`], 200 ms by default) so every connection
-//! thread notices the shutdown flag within one tick even while idle, which
-//! is what makes [`Server::shutdown`] able to *join* every thread instead of
-//! abandoning them.  The same tick flushes queued `NOTIFY` frames to idle
-//! connections; a connection that just completed an exchange gets its
-//! notifications pushed immediately after the reply instead.
+//! buffering) and write the answer back.  Every wait is a blocking call: the
+//! accept thread blocks in `accept` (shutdown pokes it awake with a
+//! throwaway connection) and a connection thread blocks for the first byte
+//! of its next frame.  [`Server::wait`] shuts the read side of every live
+//! connection, which turns those blocked reads into EOF, and waits until
+//! every connection thread has left.  No thread wakes on a timer.
+//!
+//! `NOTIFY` frames are written by whoever produced them: the update that
+//! triages a subscription flushes the connection's [`NotifyMailbox`], which
+//! owns the socket's write side.  Replies go through the same mailbox, so
+//! frames never interleave, and pushes produced during an exchange are
+//! written right behind its reply.
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    self, bye_payload, error_payload, list_payload, metrics_payload, notify_payload, pong_payload,
-    query_payload, subscribed_payload, unsubscribed_payload, update_batch, update_payload,
-    write_frame, Request,
+    self, bye_payload, error_payload, list_payload, metrics_payload, pong_payload, query_payload,
+    subscribed_payload, unsubscribed_payload, update_batch, update_payload, write_frame, Request,
 };
 use crate::service::{MrqService, QueryRequest};
-use crate::subscriptions::NotifyMailbox;
+use crate::subscriptions::{NotifyMailbox, WRITE_STALL_TIMEOUT};
 use crate::sync::lock_or_recover;
+use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// How often the accept thread wakes up when no connection is pending, to
-/// re-check the shutdown flag and reap finished connection threads.  Kept
-/// small and independent of [`ServerConfig::poll_interval`] so a server
-/// configured with a long poll interval still shuts down promptly.
-const ACCEPT_TICK: Duration = Duration::from_millis(50);
+/// How long the accept thread backs off after an accept *error* (EMFILE,
+/// ECONNABORTED, …), which can persist, so the loop cannot spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(50);
 
 /// The `retry_after_ms` hint attached to `server busy` / `overloaded`
-/// rejections.  One connection-poll interval is the natural unit: by then the
-/// server has had a chance to reap a finished connection or drain a queue
-/// slot.
+/// rejections: long enough for a typical exchange to finish and free a
+/// connection slot or a queue slot, short enough that a retrying client
+/// barely notices.
 const RETRY_AFTER_MS: u64 = 100;
 
 /// Tuning knobs for a [`Server`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// How often blocked connection reads wake up to re-check the shutdown
-    /// flag and flush queued `NOTIFY` frames on otherwise idle connections.
-    /// This bounds *idle-connection* push latency; notifications produced
-    /// during an exchange on the same connection are pushed immediately
-    /// after the reply, independent of this interval.
-    pub poll_interval: Duration,
     /// Hard cap on concurrently served connections.  A connection arriving
     /// above the cap is *shed*: it receives a single retryable `server busy`
     /// error frame (with a `retry_after_ms` hint) and is closed, instead of
@@ -64,7 +62,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         Self {
-            poll_interval: Duration::from_millis(200),
             max_connections: 1024,
             idle_timeout: Some(Duration::from_secs(30)),
         }
@@ -91,14 +88,57 @@ impl ShutdownSignal {
     }
 }
 
+/// The connections being served: a handle to each socket (to shut it down
+/// on exit) and a condvar signalled whenever one leaves.
+#[derive(Debug, Default)]
+struct LiveConnections {
+    streams: Mutex<HashMap<u64, TcpStream>>,
+    left: Condvar,
+}
+
+impl LiveConnections {
+    fn len(&self) -> usize {
+        lock_or_recover(&self.streams).len()
+    }
+
+    /// Shuts the read side of every live socket, so each connection thread
+    /// reads EOF, and blocks until all of them have left.
+    fn close_all(&self) {
+        let mut streams = lock_or_recover(&self.streams);
+        for stream in streams.values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+        while !streams.is_empty() {
+            streams = self
+                .left
+                .wait(streams)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// One connection's place in the live set; leaving it (however the
+/// connection thread exits, panics included) removes the entry.
+struct LiveEntry {
+    live: Arc<LiveConnections>,
+    id: u64,
+}
+
+impl Drop for LiveEntry {
+    fn drop(&mut self) {
+        lock_or_recover(&self.live.streams).remove(&self.id);
+        self.live.left.notify_all();
+    }
+}
+
 /// A running server.  Obtain the bound address with [`Server::local_addr`]
 /// (bind to port 0 for an ephemeral port), stop it with [`Server::shutdown`].
 #[derive(Debug)]
 pub struct Server {
     service: Arc<MrqService>,
     signal: ShutdownSignal,
-    accept: Mutex<Option<std::thread::JoinHandle<()>>>,
-    conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    accept: Mutex<Option<JoinHandle<()>>>,
+    live: Arc<LiveConnections>,
 }
 
 impl Server {
@@ -119,20 +159,20 @@ impl Server {
             flag: Arc::new(AtomicBool::new(false)),
             addr: listener.local_addr()?,
         };
-        let conns: Arc<Mutex<Vec<std::thread::JoinHandle<()>>>> = Arc::default();
+        let live = Arc::new(LiveConnections::default());
         let accept = {
             let service = Arc::clone(&service);
             let signal = signal.clone();
-            let conns = Arc::clone(&conns);
+            let live = Arc::clone(&live);
             std::thread::Builder::new()
                 .name("mrq-accept".into())
-                .spawn(move || accept_loop(&listener, &service, &signal, &conns, config))?
+                .spawn(move || accept_loop(&listener, &service, &signal, &live, config))?
         };
         Ok(Server {
             service,
             signal,
             accept: Mutex::new(Some(accept)),
-            conns,
+            live,
         })
     }
 
@@ -153,22 +193,14 @@ impl Server {
     }
 
     /// Blocks until the server has fully stopped: no accept thread, every
-    /// connection thread joined, worker pool drained.  Does not *initiate*
-    /// shutdown — combine with [`Server::trigger_shutdown`] or a client
-    /// `SHUTDOWN` command.
+    /// connection closed and its thread gone, worker pool drained.  Does not
+    /// *initiate* shutdown — combine with [`Server::trigger_shutdown`] or a
+    /// client `SHUTDOWN` command.
     pub fn wait(&self) {
         if let Some(handle) = lock_or_recover(&self.accept).take() {
             let _ = handle.join();
         }
-        loop {
-            let handle = lock_or_recover(&self.conns).pop();
-            match handle {
-                Some(h) => {
-                    let _ = h.join();
-                }
-                None => break,
-            }
-        }
+        self.live.close_all();
         self.service.shutdown();
     }
 
@@ -185,40 +217,13 @@ impl Drop for Server {
     }
 }
 
-/// Decrements the live-connection count when a connection thread exits, no
-/// matter how it exits (EOF, error, shutdown, panic unwinding).
-struct ActiveGuard(Arc<AtomicUsize>);
-
-impl Drop for ActiveGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-/// Joins every finished connection thread so a long-lived server does not
-/// accumulate zombie threads (an un-joined terminated thread keeps its stack
-/// until joined).  Runs on every accept-loop tick — *not* only when a new
-/// connection arrives — so the handle list shrinks even on a quiet server.
-fn reap_finished(conns: &Mutex<Vec<std::thread::JoinHandle<()>>>) {
-    let mut conns = lock_or_recover(conns);
-    let mut i = 0;
-    while i < conns.len() {
-        if conns[i].is_finished() {
-            let _ = conns.swap_remove(i).join();
-        } else {
-            i += 1;
-        }
-    }
-}
-
 /// Sheds one connection above the cap: writes a single retryable
 /// `server busy` error frame and closes the stream.  Best-effort — the peer
-/// may already be gone — but bounded: a short write timeout keeps a dead
+/// may already be gone — but bounded: the write-stall timeout keeps a dead
 /// peer from stalling the accept thread.
 fn shed_connection(mut stream: TcpStream, service: &MrqService) {
     service.reliability().count_shed();
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
+    let _ = stream.set_write_timeout(Some(WRITE_STALL_TIMEOUT));
     let err = ServiceError::ServerBusy {
         retry_after_ms: RETRY_AFTER_MS,
     };
@@ -229,94 +234,63 @@ fn accept_loop(
     listener: &TcpListener,
     service: &Arc<MrqService>,
     signal: &ShutdownSignal,
-    conns: &Arc<Mutex<Vec<std::thread::JoinHandle<()>>>>,
+    live: &Arc<LiveConnections>,
     config: ServerConfig,
 ) {
-    // Non-blocking accept with a short sleep tick: the same pass that polls
-    // for new connections also reaps finished connection threads, so the
-    // handle list cannot grow stale while the server is quiet.
-    let active = Arc::new(AtomicUsize::new(0));
-    if listener.set_nonblocking(true).is_err() {
-        // Without non-blocking accept the loop cannot tick; fall back to
-        // doing nothing rather than busy-spinning on a broken listener.
-        return;
-    }
+    let mut next_id = 0u64;
     loop {
+        let accepted = listener.accept();
         if signal.is_set() {
             break;
         }
-        reap_finished(conns);
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if is_timeout(&e) => {
-                std::thread::sleep(ACCEPT_TICK);
-                continue;
-            }
-            Err(_) => {
-                // Accept errors (EMFILE, ECONNABORTED, …) can persist; back
-                // off instead of busy-spinning the accept thread at 100% CPU.
-                std::thread::sleep(ACCEPT_TICK);
-                continue;
-            }
+        let Ok((stream, _)) = accepted else {
+            std::thread::sleep(ACCEPT_ERROR_BACKOFF);
+            continue;
         };
-        if signal.is_set() {
-            break;
-        }
-        // Admission control happens *before* the thread spawn: the live
-        // count is incremented here and decremented by the connection
-        // thread's drop guard, so the cap is enforced even while threads
-        // are still winding down.
-        if active.load(Ordering::SeqCst) >= config.max_connections {
+        // Admission control happens *before* the thread spawn: a connection
+        // joins the live set here and leaves it when its thread exits, so
+        // the cap is enforced even while threads are still winding down.
+        if live.len() >= config.max_connections {
             shed_connection(stream, service);
             continue;
         }
-        // Accepted sockets may inherit the listener's non-blocking flag on
-        // some platforms; connection threads rely on blocking reads with a
-        // read timeout.
-        if stream.set_nonblocking(false).is_err() {
+        let Ok(handle) = stream.try_clone() else {
             continue;
-        }
-        active.fetch_add(1, Ordering::SeqCst);
-        let guard = ActiveGuard(Arc::clone(&active));
+        };
+        next_id += 1;
+        lock_or_recover(&live.streams).insert(next_id, handle);
+        let entry = LiveEntry {
+            live: Arc::clone(live),
+            id: next_id,
+        };
         let service = Arc::clone(service);
         let signal = signal.clone();
-        let handle = std::thread::Builder::new()
+        // On spawn failure the closure (and with it the entry) is dropped,
+        // which already removes the connection from the live set.
+        let _ = std::thread::Builder::new()
             .name("mrq-conn".into())
             .spawn(move || {
-                let _guard = guard;
+                let _entry = entry;
                 let _ = serve_connection(stream, &service, &signal, config);
             });
-        // On spawn failure the closure (and with it the guard) is dropped,
-        // which already decrements the live count.
-        if let Ok(handle) = handle {
-            lock_or_recover(conns).push(handle);
-        }
     }
 }
 
-/// Reads frames off one connection until EOF, error or shutdown, then
-/// unregisters whatever the connection subscribed to.
+/// Reads frames off one connection until EOF or error, then unregisters
+/// whatever the connection subscribed to.
 fn serve_connection(
     stream: TcpStream,
     service: &Arc<MrqService>,
     signal: &ShutdownSignal,
     config: ServerConfig,
 ) -> std::io::Result<()> {
-    // The connection's NOTIFY side-channel: the update path pushes events
-    // here (from whatever thread applied the batch); only this connection
-    // thread ever writes the socket, so frames never interleave.
-    let mailbox = Arc::new(NotifyMailbox::new());
+    stream.set_nodelay(true)?;
+    // The connection's outbox: replies and NOTIFY frames (written by
+    // whichever thread applied the update) share its lock.
+    let mailbox = Arc::new(NotifyMailbox::with_writer(stream.try_clone()?)?);
     let result = serve_frames(stream, service, signal, &mailbox, config);
     service.drop_subscriber(&mailbox);
     result
-}
-
-/// Writes every queued NOTIFY event of `mailbox` as a server-push frame.
-fn drain_notifies(writer: &mut TcpStream, mailbox: &NotifyMailbox) -> std::io::Result<()> {
-    for event in mailbox.drain() {
-        write_frame(writer, &notify_payload(&event))?;
-    }
-    Ok(())
 }
 
 fn serve_frames(
@@ -326,50 +300,31 @@ fn serve_frames(
     mailbox: &Arc<NotifyMailbox>,
     config: ServerConfig,
 ) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(config.poll_interval))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    let mut header = Vec::new();
     loop {
-        header.clear();
-        // Safety net for events that arrived between the post-reply drain
-        // below and re-entering the read (idle connections are covered by
-        // the `on_idle` hook, ≤ one poll interval of latency).
-        drain_notifies(&mut writer, mailbox)?;
-        let read = read_frame_polling(
-            &mut reader,
-            &mut header,
-            signal,
-            config.idle_timeout,
-            || drain_notifies(&mut writer, mailbox),
-        )?;
-        let payload = match read {
+        let payload = match read_request_frame(&mut reader, config.idle_timeout)? {
             FrameRead::Frame(payload) => payload,
-            FrameRead::Eof | FrameRead::ShuttingDown => return Ok(()),
+            FrameRead::Eof => return Ok(()),
             FrameRead::IdleExpired => {
                 // Slow-loris defence: the peer held a partial frame past the
                 // idle timeout.  Tell it why (retryable — a healthy client
                 // may simply reconnect and resend) and cut the connection.
                 service.reliability().count_idle_disconnect();
-                let _ = write_frame(&mut writer, &error_payload(&ServiceError::IdleTimeout));
-                return Ok(());
+                return mailbox.finish_exchange(&error_payload(&ServiceError::IdleTimeout));
             }
             FrameRead::Malformed(msg) => {
                 // Framing is broken: report and drop the connection (the
                 // stream position is no longer trustworthy).
-                let err = ServiceError::BadRequest(msg);
-                let _ = write_frame(&mut writer, &error_payload(&err));
-                return Ok(());
+                return mailbox.finish_exchange(&error_payload(&ServiceError::BadRequest(msg)));
             }
         };
-        match Request::parse(&payload) {
-            Err(msg) => {
-                // The frame itself was sound: answer the error, keep going.
-                let err = ServiceError::BadRequest(msg);
-                write_frame(&mut writer, &error_payload(&err))?;
-            }
-            Ok(Request::Ping) => write_frame(&mut writer, &pong_payload())?,
+        mailbox.begin_exchange();
+        let request = Request::parse(&payload);
+        let shutdown = matches!(request, Ok(Request::Shutdown));
+        let reply = match request {
+            // The frame itself was sound: answer the error, keep going.
+            Err(msg) => error_payload(&ServiceError::BadRequest(msg)),
+            Ok(Request::Ping) => pong_payload(),
             Ok(Request::Subscribe {
                 dataset,
                 focal,
@@ -380,26 +335,22 @@ fn serve_frames(
                 // thread (like updates: registration must be atomic with
                 // respect to the dataset's update stream, so it cannot go
                 // through the pool).
-                let payload =
-                    match service.subscribe(&dataset, focal, algorithm, tau, Arc::clone(mailbox)) {
-                        Ok(sub) => subscribed_payload(&sub),
-                        Err(err) => error_payload(&err),
-                    };
-                write_frame(&mut writer, &payload)?;
+                match service.subscribe(&dataset, focal, algorithm, tau, Arc::clone(mailbox)) {
+                    Ok(sub) => subscribed_payload(&sub),
+                    Err(err) => error_payload(&err),
+                }
             }
             Ok(Request::Unsubscribe { subscription }) => {
-                let payload = if service.unsubscribe(subscription) {
+                if service.unsubscribe(subscription) {
                     unsubscribed_payload(subscription)
                 } else {
                     error_payload(&ServiceError::BadRequest(format!(
                         "unknown subscription id {subscription}"
                     )))
-                };
-                write_frame(&mut writer, &payload)?;
+                }
             }
             Ok(Request::Metrics) => {
-                let text = crate::metrics::render_metrics(&service.stats());
-                write_frame(&mut writer, &metrics_payload(&text))?;
+                metrics_payload(&crate::metrics::render_metrics(&service.stats()))
             }
             Ok(Request::List) => {
                 let registry = service.registry();
@@ -414,13 +365,9 @@ fn serve_frames(
                             .map(|e| (name, e.data().live_len(), e.data().dims()))
                     })
                     .collect();
-                write_frame(&mut writer, &list_payload(&datasets))?;
+                list_payload(&datasets)
             }
-            Ok(Request::Shutdown) => {
-                write_frame(&mut writer, &bye_payload())?;
-                signal.trigger();
-                return Ok(());
-            }
+            Ok(Request::Shutdown) => bye_payload(),
             Ok(Request::Update {
                 dataset,
                 request_id,
@@ -435,11 +382,10 @@ fn serve_frames(
                     &update_batch(&inserts, &deletes),
                     request_id.as_deref(),
                 );
-                let payload = match outcome {
+                match outcome {
                     Ok(outcome) => update_payload(&outcome),
                     Err(err) => error_payload(&err),
-                };
-                write_frame(&mut writer, &payload)?;
+                }
             }
             Ok(Request::Query {
                 dataset,
@@ -463,7 +409,7 @@ fn serve_frames(
                 let reply = service
                     .try_enqueue(&request)
                     .and_then(|pending| pending.wait());
-                let payload = match reply {
+                match reply {
                     Ok(answer) => query_payload(&answer, max_regions),
                     // A full pool queue is transient backpressure, not a
                     // request defect: surface it as the typed retryable
@@ -472,21 +418,25 @@ fn serve_frames(
                         retry_after_ms: RETRY_AFTER_MS,
                     }),
                     Err(err) => error_payload(&err),
-                };
-                write_frame(&mut writer, &payload)?;
+                }
             }
+        };
+        // Writes the reply, then whatever NOTIFYs the exchange produced
+        // (e.g. for this connection's own update).
+        mailbox.finish_exchange(&reply)?;
+        if shutdown {
+            signal.trigger();
         }
-        // Drain the mailbox immediately after the reply: an UPDATE on this
-        // very connection that affects its own subscriptions must see its
-        // NOTIFY pushed now, not one poll tick later.
-        drain_notifies(&mut writer, mailbox)?;
+        // A peer that keeps sending must not outlive a shutdown either.
+        if signal.is_set() {
+            return Ok(());
+        }
     }
 }
 
 enum FrameRead {
     Frame(String),
     Eof,
-    ShuttingDown,
     /// A partial frame sat unfinished past [`ServerConfig::idle_timeout`].
     IdleExpired,
     Malformed(String),
@@ -499,65 +449,56 @@ fn is_timeout(err: &std::io::Error) -> bool {
     )
 }
 
-/// Like [`protocol::read_frame`] but tolerant of read timeouts: partial data
-/// survives in `header` / the payload buffer across retries, and the
-/// shutdown flag is checked between them.  `on_idle` runs on poll ticks
-/// where no frame has started arriving yet — the hook the connection thread
-/// uses to flush queued `NOTIFY` frames between exchanges (never once a
-/// request frame is partially read, so pushes never land inside an
-/// exchange).
-///
-/// `idle_timeout` is the slow-loris budget: once the first byte of a frame
-/// has arrived, the whole frame (header and payload) must complete within
-/// it, or the read resolves to [`FrameRead::IdleExpired`].  A connection
-/// with *no* partial frame — an idle subscriber — is never expired.
-fn read_frame_polling(
+/// Like [`protocol::read_frame`], with the slow-loris budget: the read
+/// blocks without a timeout until a frame's first byte arrives, so an idle
+/// connection (a subscriber waiting for pushes) is never expired, but once
+/// it has, the whole frame (header and payload) must complete within
+/// `idle_timeout`, or the read resolves to [`FrameRead::IdleExpired`].
+fn read_request_frame(
     reader: &mut BufReader<TcpStream>,
-    header: &mut Vec<u8>,
-    signal: &ShutdownSignal,
     idle_timeout: Option<Duration>,
-    mut on_idle: impl FnMut() -> std::io::Result<()>,
 ) -> std::io::Result<FrameRead> {
-    // Started at the first poll tick that observes a partial frame; the
-    // slow-loris clock.  (`read_until` appends partial bytes and *then*
-    // reports the timeout, so the clock cannot start on a successful read.)
-    let mut partial_since: Option<Instant> = None;
-    fn expired_now(since: &mut Option<Instant>, limit: Option<Duration>) -> bool {
-        let start = *since.get_or_insert_with(Instant::now);
-        limit.is_some_and(|limit| start.elapsed() >= limit)
+    if idle_timeout.is_some() {
+        reader.get_ref().set_read_timeout(None)?;
     }
-    // Header: bytes up to '\n'.  `read_until` appends whatever arrived
-    // before a timeout, so looping preserves partial prefixes.  The `take`
-    // budget caps the header so a peer streaming bytes with no newline
-    // cannot grow the buffer without bound.
+    // A bare `read_until` would not return before the header's newline, so
+    // the clock could never start on a partial header.
+    if reader.fill_buf()?.is_empty() {
+        return Ok(FrameRead::Eof);
+    }
+    let deadline = idle_timeout.map(|limit| Instant::now() + limit);
+    // Arms the read timeout with what remains of the budget; `false` once
+    // it is spent.
+    let arm = |reader: &BufReader<TcpStream>| -> std::io::Result<bool> {
+        let Some(deadline) = deadline else {
+            return Ok(true);
+        };
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Ok(false);
+        }
+        reader.get_ref().set_read_timeout(Some(left))?;
+        Ok(true)
+    };
+    // Header: bytes up to '\n'.  The `take` budget caps the header so a peer
+    // streaming bytes with no newline cannot grow the buffer without bound.
+    let mut header = Vec::new();
     while header.last() != Some(&b'\n') {
         if header.len() >= protocol::MAX_HEADER_BYTES {
             return Ok(FrameRead::Malformed("frame length prefix too long".into()));
         }
+        if !arm(reader)? {
+            return Ok(FrameRead::IdleExpired);
+        }
         let budget = (protocol::MAX_HEADER_BYTES - header.len()) as u64;
-        match reader.by_ref().take(budget).read_until(b'\n', header) {
-            Ok(0) => {
-                return if header.is_empty() {
-                    Ok(FrameRead::Eof)
-                } else {
-                    Ok(FrameRead::Malformed("truncated frame header".into()))
-                };
-            }
+        match reader.by_ref().take(budget).read_until(b'\n', &mut header) {
+            Ok(0) => return Ok(FrameRead::Malformed("truncated frame header".into())),
             Ok(_) => {} // loop re-checks for the delimiter and the budget
-            Err(e) if is_timeout(&e) => {
-                if signal.is_set() {
-                    return Ok(FrameRead::ShuttingDown);
-                }
-                if header.is_empty() {
-                    on_idle()?;
-                } else if expired_now(&mut partial_since, idle_timeout) {
-                    return Ok(FrameRead::IdleExpired);
-                }
-            }
+            Err(e) if is_timeout(&e) => return Ok(FrameRead::IdleExpired),
             Err(e) => return Err(e),
         }
     }
-    let text = match std::str::from_utf8(header) {
+    let text = match std::str::from_utf8(&header) {
         Ok(t) => t.trim(),
         Err(_) => return Ok(FrameRead::Malformed("frame prefix is not UTF-8".into())),
     };
@@ -577,17 +518,13 @@ fn read_frame_polling(
     let mut payload = vec![0u8; len];
     let mut filled = 0;
     while filled < len {
+        if !arm(reader)? {
+            return Ok(FrameRead::IdleExpired);
+        }
         match reader.read(&mut payload[filled..]) {
             Ok(0) => return Ok(FrameRead::Malformed("truncated frame payload".into())),
             Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => {
-                if signal.is_set() {
-                    return Ok(FrameRead::ShuttingDown);
-                }
-                if expired_now(&mut partial_since, idle_timeout) {
-                    return Ok(FrameRead::IdleExpired);
-                }
-            }
+            Err(e) if is_timeout(&e) => return Ok(FrameRead::IdleExpired),
             Err(e) => return Err(e),
         }
     }
@@ -719,34 +656,15 @@ mod tests {
 
     #[test]
     fn notify_from_own_update_is_pushed_without_waiting_a_poll_tick() {
-        // A deliberately huge poll interval: if NOTIFY delivery were pinned
-        // to the idle tick, this test would need ~10 s.  The connection
-        // subscribes, then applies an update that affects its own
-        // subscription — the NOTIFY must arrive right after the update
-        // reply, via the post-reply drain.
-        let registry = Arc::new(DatasetRegistry::new());
-        registry.register("demo", &DatasetSpec::Demo).unwrap();
-        let service = Arc::new(MrqService::new(
-            registry,
-            ServiceConfig {
-                workers: 2,
-                ..ServiceConfig::default()
-            },
-        ));
-        let server = Server::start_with(
-            service,
-            "127.0.0.1:0",
-            ServerConfig {
-                poll_interval: Duration::from_secs(10),
-                ..ServerConfig::default()
-            },
-        )
-        .unwrap();
+        // The connection subscribes, then applies an update that affects
+        // its own subscription: the NOTIFY must arrive right behind the
+        // update reply, and shutdown must not wait on the idle subscriber.
+        let server = demo_server();
         let mut client = crate::client::Client::connect(server.local_addr()).unwrap();
         client
             .subscribe("demo", 5, mrq_core::Algorithm::Auto, 0)
             .unwrap();
-        let start = std::time::Instant::now();
+        let start = Instant::now();
         // A dominating insert: affects every subscription on the dataset.
         client.update("demo", &[vec![0.97, 0.96]], &[]).unwrap();
         let notification = client
@@ -754,18 +672,81 @@ mod tests {
             .unwrap()
             .expect("the affecting update must push a NOTIFY");
         assert!(
-            start.elapsed() < Duration::from_secs(2),
-            "NOTIFY was pinned to the poll tick ({:?})",
+            start.elapsed() < Duration::from_secs(1),
+            "NOTIFY was late ({:?})",
             start.elapsed()
         );
         assert!(matches!(
             notification,
             crate::client::Notification::Changed(_)
         ));
-        // Shut down via the protocol: `server.shutdown()` would block for up
-        // to one (10 s) poll tick per idle connection thread.
-        client.shutdown_server().unwrap();
-        server.wait();
+        let start = Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "shutdown waited on the connected subscriber ({:?})",
+            start.elapsed()
+        );
+    }
+
+    #[test]
+    fn idle_subscriber_gets_notify_from_another_connections_update_at_once() {
+        let server = demo_server();
+        let mut idle = crate::client::Client::connect(server.local_addr()).unwrap();
+        idle.subscribe("demo", 5, mrq_core::Algorithm::Auto, 0)
+            .unwrap();
+        let mut updater = crate::client::Client::connect(server.local_addr()).unwrap();
+        let mut waits = Vec::new();
+        for _ in 0..10 {
+            // A dominating insert moves the subscription's rank every time.
+            let reply = updater.update("demo", &[vec![0.97, 0.96]], &[]).unwrap();
+            let replied = Instant::now();
+            let notification = idle
+                .wait_notify(Some(Duration::from_secs(2)))
+                .unwrap()
+                .expect("every affecting update must push a NOTIFY");
+            waits.push(replied.elapsed());
+            match notification {
+                crate::client::Notification::Changed(sub) => {
+                    assert_eq!(sub.version, reply.version)
+                }
+                other => panic!("expected a change, got {other:?}"),
+            }
+        }
+        waits.sort();
+        assert!(
+            waits[waits.len() / 2] < Duration::from_millis(20),
+            "median NOTIFY wait after the update reply: {:?}",
+            waits[waits.len() / 2]
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_closes_idle_and_half_sent_connections_promptly() {
+        let server = demo_server_with(ServerConfig {
+            idle_timeout: None,
+            ..ServerConfig::default()
+        });
+        let mut subscriber = crate::client::Client::connect(server.local_addr()).unwrap();
+        subscriber
+            .subscribe("demo", 5, mrq_core::Algorithm::Auto, 0)
+            .unwrap();
+        let mut partial = TcpStream::connect(server.local_addr()).unwrap();
+        partial.write_all(b"12").unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while server.live.len() < 2 {
+            assert!(Instant::now() < deadline, "connections never admitted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        let start = Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "shutdown took {:?}",
+            start.elapsed()
+        );
+        assert_eq!(server.live.len(), 0);
     }
 
     fn demo_server_with(config: ServerConfig) -> Server {
@@ -813,7 +794,6 @@ mod tests {
     #[test]
     fn slow_loris_partial_frame_is_disconnected_after_idle_timeout() {
         let server = demo_server_with(ServerConfig {
-            poll_interval: Duration::from_millis(25),
             idle_timeout: Some(Duration::from_millis(150)),
             ..ServerConfig::default()
         });
@@ -840,7 +820,6 @@ mod tests {
         // Only *partial frames* age out; a quiet subscriber-style connection
         // must survive arbitrarily long past the idle timeout.
         let server = demo_server_with(ServerConfig {
-            poll_interval: Duration::from_millis(25),
             idle_timeout: Some(Duration::from_millis(100)),
             ..ServerConfig::default()
         });
@@ -854,16 +833,16 @@ mod tests {
 
     #[test]
     fn finished_connection_threads_are_reaped_without_new_arrivals() {
-        // Regression for the old accept loop, which only joined finished
+        // Regression for an old accept loop, which only reaped finished
         // connection threads when a *new* connection arrived: on a quiet
-        // server the handle list must shrink on the accept tick alone.
+        // server a connection must leave the live set as its thread exits.
         let server = demo_server();
         {
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
             let _ = roundtrip(&mut stream, "{\"cmd\":\"ping\"}");
         } // dropped: the connection thread sees EOF and exits
         let deadline = Instant::now() + Duration::from_secs(5);
-        while !lock_or_recover(&server.conns).is_empty() {
+        while server.live.len() != 0 {
             assert!(
                 Instant::now() < deadline,
                 "finished connection thread was never reaped"

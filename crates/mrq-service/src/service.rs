@@ -133,6 +133,9 @@ pub struct ReliabilityStats {
     /// UPDATE requests answered from the dedup window (a retry whose
     /// original had already applied).
     pub update_dedup_hits: u64,
+    /// Subscriber connections cut because an update's `NOTIFY` write failed
+    /// or made no progress for the write-stall timeout.
+    pub slow_consumer_disconnects: u64,
 }
 
 /// Shared fault-tolerance counter cell: the TCP server increments the
@@ -142,6 +145,7 @@ pub struct ReliabilityBook {
     connections_shed: AtomicU64,
     idle_disconnects: AtomicU64,
     update_dedup_hits: AtomicU64,
+    slow_consumer_disconnects: AtomicU64,
 }
 
 impl ReliabilityBook {
@@ -160,12 +164,19 @@ impl ReliabilityBook {
         self.update_dedup_hits.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Counts one subscriber connection cut by a failed `NOTIFY` write.
+    pub fn count_slow_consumer_disconnect(&self) {
+        self.slow_consumer_disconnects
+            .fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Point-in-time snapshot.
     pub fn snapshot(&self) -> ReliabilityStats {
         ReliabilityStats {
             connections_shed: self.connections_shed.load(Ordering::Relaxed),
             idle_disconnects: self.idle_disconnects.load(Ordering::Relaxed),
             update_dedup_hits: self.update_dedup_hits.load(Ordering::Relaxed),
+            slow_consumer_disconnects: self.slow_consumer_disconnects.load(Ordering::Relaxed),
         }
     }
 }
@@ -412,10 +423,19 @@ impl MrqService {
         // Entries of superseded versions can never be hit again; return
         // their LRU slots now instead of waiting for unreachability.
         self.cache.purge_stale(dataset, outcome.version);
-        if !subs.is_empty() {
-            if let Some(entry) = self.registry.get(dataset) {
+        let mailboxes = match self.registry.get(dataset) {
+            Some(entry) if !subs.is_empty() => {
                 self.subscriptions
-                    .triage_batch(&mut subs, &entry, updates, outcome.version);
+                    .triage_batch(&mut subs, &entry, updates, outcome.version)
+            }
+            _ => Vec::new(),
+        };
+        // Socket writes wait until the subscription lock is released; the
+        // events were queued under it, in version order.
+        drop(subs);
+        for mailbox in mailboxes {
+            if mailbox.flush().is_err() {
+                self.reliability.count_slow_consumer_disconnect();
             }
         }
         Ok(outcome)
@@ -424,8 +444,9 @@ impl MrqService {
     /// Registers a standing query: evaluates the focal's MaxRank result on
     /// the current snapshot, keeps it resident and maintains it under every
     /// subsequent update batch.  Change (and cancellation) events are pushed
-    /// to `mailbox`; the caller drains it (connection threads render the
-    /// events as `NOTIFY` frames).
+    /// to `mailbox` and flushed by the update that produced them (a server
+    /// connection's mailbox writes them as `NOTIFY` frames; an in-process
+    /// caller drains it).
     ///
     /// The initial evaluation runs on the calling thread under the dataset's
     /// subscription lock — registration is atomic with respect to updates.

@@ -8,25 +8,30 @@
 //! tests and dot products against the retained region boxes into
 //! *unaffected* (keep the result, bump the version stamp), *rank-shift-only*
 //! (adjust `k*` and region orders arithmetically), or *re-enumerate* (re-run
-//! the evaluation).  Subscribers are told about changes through per-connection
-//! [`NotifyMailbox`]es that the server's connection threads drain into
-//! server-push `NOTIFY` frames.
+//! the evaluation).  Subscribers are told about changes through
+//! per-connection [`NotifyMailbox`]es, which the update that produced an
+//! event flushes to the socket as a server-push `NOTIFY` frame.
 //!
 //! Concurrency model: all subscriptions of one dataset sit behind one mutex
 //! (see [`SubscriptionBook::dataset`]).  `MrqService::update` holds it from
-//! *before* the registry apply until triage is done, and
+//! *before* the registry apply until triage has queued its events, and
 //! `MrqService::subscribe` holds it across the initial evaluation and
 //! registration — so a resident result is always exact for the version it is
 //! stamped with, with no window where an update could slip between an
-//! evaluation and the bookkeeping.
+//! evaluation and the bookkeeping.  Flushes happen after that lock is
+//! released; events are queued in lock order and every flush writes the
+//! whole queue, so a subscription's versions still arrive in order.
 
+use crate::protocol::{notify_payload, write_frame};
 use crate::sync::lock_or_recover;
 use mrq_core::maintain::{shift_result, triage_delete, triage_insert, DeltaTriage};
 use mrq_core::{Algorithm, MaxRankConfig, MaxRankQuery, MaxRankResult};
 use mrq_data::{RecordId, Update};
 use std::collections::{HashMap, VecDeque};
+use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use crate::registry::DatasetEntry;
 
@@ -54,7 +59,7 @@ pub enum NotifyKind {
 }
 
 /// One server-push notification, queued on the owning connection's mailbox
-/// until its connection thread writes it out as a `NOTIFY` frame.
+/// until it is written out as a `NOTIFY` frame.
 #[derive(Debug, Clone)]
 pub struct NotifyEvent {
     /// Subscription id the event belongs to.
@@ -69,30 +74,114 @@ pub struct NotifyEvent {
     pub kind: NotifyKind,
 }
 
+/// How long a socket write may make no progress before it fails: a peer
+/// that stops reading stalls a reply, or the update writing its `NOTIFY`,
+/// for at most this long.
+pub const WRITE_STALL_TIMEOUT: Duration = Duration::from_secs(1);
+
 /// A per-connection queue of pending [`NotifyEvent`]s.  The update path
-/// pushes; the connection thread drains between frame polls and renders the
-/// events as `NOTIFY` frames.  Events for a connection that never drains
-/// again (it is closing) are dropped with the mailbox itself.
+/// pushes under the dataset's subscription lock and flushes after releasing
+/// it.  In process ([`NotifyMailbox::new`]) the events wait for
+/// [`NotifyMailbox::drain`]; a server connection's mailbox
+/// ([`NotifyMailbox::with_writer`]) writes them to the socket as `NOTIFY`
+/// frames, never between a request and its reply.
 #[derive(Debug, Default)]
 pub struct NotifyMailbox {
-    queue: Mutex<VecDeque<NotifyEvent>>,
+    outbox: Mutex<Outbox>,
+}
+
+/// Everything one lock covers, so frames on a connection never interleave.
+#[derive(Debug, Default)]
+struct Outbox {
+    queue: VecDeque<NotifyEvent>,
+    /// The connection's write side; `None` in process.
+    writer: Option<TcpStream>,
+    /// A request has been read and its reply is not yet written.
+    in_exchange: bool,
+    /// A write failed: the socket is shut down and events are dropped from
+    /// now on.
+    cut: bool,
 }
 
 impl NotifyMailbox {
-    /// Creates an empty mailbox.
+    /// Creates an empty in-process mailbox.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Queues one event.
+    /// A connection's outbox, writing to `writer` with the
+    /// [`WRITE_STALL_TIMEOUT`].
+    pub fn with_writer(writer: TcpStream) -> std::io::Result<Self> {
+        writer.set_write_timeout(Some(WRITE_STALL_TIMEOUT))?;
+        let outbox = Outbox {
+            writer: Some(writer),
+            ..Outbox::default()
+        };
+        Ok(Self {
+            outbox: Mutex::new(outbox),
+        })
+    }
+
+    /// Queues one event (dropped once the connection has been cut).
     pub fn push(&self, event: NotifyEvent) {
-        lock_or_recover(&self.queue).push_back(event);
+        let mut outbox = lock_or_recover(&self.outbox);
+        if !outbox.cut {
+            outbox.queue.push_back(event);
+        }
     }
 
     /// Takes every pending event, oldest first.
     pub fn drain(&self) -> Vec<NotifyEvent> {
-        let mut queue = lock_or_recover(&self.queue);
-        queue.drain(..).collect()
+        lock_or_recover(&self.outbox).queue.drain(..).collect()
+    }
+
+    /// Marks a request as read: events stay queued until its reply is out.
+    pub fn begin_exchange(&self) {
+        lock_or_recover(&self.outbox).in_exchange = true;
+    }
+
+    /// Writes `reply`, ends the exchange, then writes the events queued
+    /// meanwhile.
+    pub fn finish_exchange(&self, reply: &str) -> std::io::Result<()> {
+        let mut outbox = lock_or_recover(&self.outbox);
+        outbox.in_exchange = false;
+        outbox.send(Some(reply))
+    }
+
+    /// Writes every queued event now, unless an exchange is in progress
+    /// (its [`NotifyMailbox::finish_exchange`] writes them).
+    pub fn flush(&self) -> std::io::Result<()> {
+        let mut outbox = lock_or_recover(&self.outbox);
+        if outbox.in_exchange {
+            return Ok(());
+        }
+        outbox.send(None)
+    }
+}
+
+impl Outbox {
+    /// Writes `reply`, if any, then every queued event.  A failed write cuts
+    /// the connection: the socket is shut down, so its connection thread
+    /// reads EOF and unregisters its subscriptions, and queued and later
+    /// events are dropped.  Only the write that cuts returns the error.
+    fn send(&mut self, reply: Option<&str>) -> std::io::Result<()> {
+        let Some(writer) = self.writer.as_mut() else {
+            return Ok(()); // in process the events wait for `drain`
+        };
+        let written = reply
+            .map_or(Ok(()), |reply| write_frame(writer, reply))
+            .and_then(|()| {
+                self.queue
+                    .drain(..)
+                    .try_for_each(|event| write_frame(writer, &notify_payload(&event)))
+            });
+        if written.is_err() {
+            let _ = writer.shutdown(Shutdown::Both);
+            self.writer = None;
+            self.queue.clear();
+            self.cut = true;
+        }
+        written
     }
 }
 
@@ -262,14 +351,19 @@ impl SubscriptionBook {
     /// results are pushed to the owning mailbox; an unaffected batch only
     /// moves the version stamp and pushes nothing.  Subscriptions whose
     /// focal record the batch deleted are cancelled (with a final
-    /// cancellation event) and removed.
+    /// cancellation event) and removed.  Returns the subscribers' mailboxes,
+    /// for the caller to flush once it has released the lock.
     pub fn triage_batch(
         &self,
         subs: &mut Vec<Arc<Subscription>>,
         entry: &DatasetEntry,
         updates: &[Update],
         version: u64,
-    ) {
+    ) -> Vec<Arc<NotifyMailbox>> {
+        let mut mailboxes: Vec<Arc<NotifyMailbox>> =
+            subs.iter().map(|sub| Arc::clone(&sub.mailbox)).collect();
+        mailboxes.sort_by_key(Arc::as_ptr);
+        mailboxes.dedup_by(|a, b| Arc::ptr_eq(a, b));
         let mut cancelled = 0usize;
         subs.retain(|sub| {
             if !entry.data().is_live(sub.focal) {
@@ -289,6 +383,7 @@ impl SubscriptionBook {
             true
         });
         self.active.fetch_sub(cancelled as u64, Ordering::Relaxed);
+        mailboxes
     }
 
     fn maintain_one(
@@ -365,5 +460,67 @@ impl SubscriptionBook {
             partial_repairs: self.partial_repairs.load(Ordering::Relaxed),
             full_reevals: self.full_reevals.load(Ordering::Relaxed),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::read_frame;
+    use std::io::BufReader;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// An outbox over one end of a loopback connection, and the other end.
+    fn outbox_and_peer() -> (NotifyMailbox, TcpStream) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (served, _) = listener.accept().unwrap();
+        (NotifyMailbox::with_writer(served).unwrap(), peer)
+    }
+
+    fn cancelled(version: u64, reason: String) -> NotifyEvent {
+        NotifyEvent {
+            subscription: 1,
+            dataset: "demo".into(),
+            focal: 5,
+            version,
+            kind: NotifyKind::Cancelled { reason },
+        }
+    }
+
+    #[test]
+    fn notify_pushed_during_an_exchange_follows_its_reply() {
+        let (mailbox, peer) = outbox_and_peer();
+        mailbox.begin_exchange();
+        mailbox.push(cancelled(1, "gone".into()));
+        mailbox.flush().unwrap(); // held back: the exchange is open
+        mailbox.finish_exchange("{\"ok\":true}").unwrap();
+        let mut reader = BufReader::new(peer);
+        let reply = read_frame(&mut reader).unwrap().expect("reply frame");
+        assert_eq!(reply, "{\"ok\":true}");
+        let notify = read_frame(&mut reader).unwrap().expect("NOTIFY frame");
+        assert!(notify.contains("\"notify\":true"), "{notify}");
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_is_cut_and_later_events_are_dropped() {
+        let (mailbox, _peer) = outbox_and_peer();
+        // ≈ 20 MB of frames: far more than the loopback socket buffers hold.
+        let reason = "x".repeat(1 << 20);
+        for version in 1..=20 {
+            mailbox.push(cancelled(version, reason.clone()));
+        }
+        let start = Instant::now();
+        assert!(mailbox.flush().is_err(), "the stalled write must fail");
+        assert!(
+            start.elapsed() < Duration::from_secs(5),
+            "the cut took {:?}",
+            start.elapsed()
+        );
+        mailbox.push(cancelled(21, "late".into()));
+        assert!(mailbox.drain().is_empty());
+        // Only the write that cut reports the error.
+        assert!(mailbox.flush().is_ok());
     }
 }

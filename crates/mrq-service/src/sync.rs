@@ -14,7 +14,7 @@
 //!   queue push/pop of an owned value), or (b) only reads.  A panic inside
 //!   such a section cannot leave the invariant half-updated, so the data
 //!   under a poisoned lock is still valid and serving must continue.  This
-//!   covers the connection-handle list, notify mailboxes, the subscription
+//!   covers the live-connection set, notify mailboxes, the subscription
 //!   book and lists, the registry map, snapshot cells, the result cache and
 //!   the pool queue (jobs are pushed/popped whole; worker evaluation runs
 //!   outside the lock under `catch_unwind`).

@@ -113,7 +113,6 @@ fn start_server() -> Server {
         },
     ));
     let config = ServerConfig {
-        poll_interval: Duration::from_millis(25),
         ..ServerConfig::default()
     };
     Server::start_with(service, "127.0.0.1:0", config).unwrap()
@@ -283,7 +282,6 @@ fn chaos_smoke_sheds_dedups_and_retries_under_a_minute() {
         },
     ));
     let config = ServerConfig {
-        poll_interval: Duration::from_millis(25),
         max_connections: 1,
         ..ServerConfig::default()
     };

@@ -80,6 +80,7 @@ fn golden_stats() -> ServiceStats {
             connections_shed: 17,
             idle_disconnects: 3,
             update_dedup_hits: 8,
+            slow_consumer_disconnects: 5,
         },
         degraded: vec!["hotels\"eu\"".into()],
     }

@@ -247,7 +247,6 @@ fn main() -> ExitCode {
             Some(0) => None,
             Some(ms) => Some(Duration::from_millis(ms)),
         },
-        ..server_defaults
     };
     let server = match Server::start_with(Arc::clone(&service), args.listen.as_str(), server_config)
     {
