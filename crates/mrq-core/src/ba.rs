@@ -11,7 +11,7 @@
 
 use crate::common::{build_result, map_record, trivial_result, HalfSpaceRegistry, MappedHalfSpace};
 use crate::result::{MaxRankResult, QueryStats};
-use crate::withinleaf::enumerate_cells;
+use crate::withinleaf::CellEnumerator;
 use mrq_data::{Dataset, RecordId};
 use mrq_index::RStarTree;
 use mrq_quadtree::{HalfSpaceQuadTree, QuadTreeConfig};
@@ -118,7 +118,13 @@ pub fn run_point(
         return trivial_result(d, base, tau, stats);
     }
 
-    let (cells, _) = enumerate_cells(&qt, None, tau, &config.cell_enum_options(), &mut stats);
+    let (cells, _) = CellEnumerator::new().enumerate(
+        &mut qt,
+        None,
+        tau,
+        &config.cell_enum_options(),
+        &mut stats,
+    );
     build_result(d, base, tau, cells, &registry, stats)
 }
 

@@ -62,9 +62,10 @@ use mrq_geometry::{
     maximize_with, reduced_simplex_constraint, BoundingBox, HalfSpace, LpScratch, LpStatus,
     Polygon, Region, Split, FEASIBILITY_SLACK,
 };
-use mrq_quadtree::{HalfSpaceId, HalfSpaceQuadTree, LeafRef};
+use mrq_quadtree::{Frontier, HalfSpaceId, HalfSpaceQuadTree, LeafRef};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A non-empty cell found inside one leaf.
 #[derive(Debug, Clone)]
@@ -114,7 +115,7 @@ pub struct CellEnumOptions {
     /// non-empty without an LP.  The cell set is identical either way; this
     /// knob exists for ablation and differential testing.  LP path only.
     pub witness_cache: bool,
-    /// Threads the leaf frontier is sharded over (1 = sequential).  The cell
+    /// Threads sharing the leaf frontier (1 = sequential).  The cell
     /// set is identical for any value.
     pub threads: usize,
 }
@@ -1029,14 +1030,16 @@ impl PlanarWalk<'_> {
 ///   irrelevant to MaxRank/iMaxRank).
 /// * With `hard_limit = None` the bound adapts: the enumeration returns every
 ///   cell with order ≤ (minimum order found) + `tau`.
-/// * `options.threads > 1` shards the leaf frontier over that many scoped
+/// * `options.threads > 1` shares the leaf frontier between that many scoped
 ///   threads; the cells returned are identical for any thread count.
 ///
 /// Returns the cells and the effective bound that was applied.
 ///
-/// This is a convenience wrapper over [`CellEnumerator`] without caching; the
-/// iterative AA keeps a [`CellEnumerator`] alive across iterations so that
-/// leaves untouched by newly inserted half-spaces are not re-enumerated.
+/// This is a convenience wrapper over [`CellEnumerator`] without caching; it
+/// enumerates a clone of `qt`, because enumeration splits the leaves it
+/// reaches.  The iterative AA keeps a [`CellEnumerator`] and its tree alive
+/// across iterations so that leaves untouched by newly inserted half-spaces
+/// are neither split again nor re-enumerated.
 pub fn enumerate_cells(
     qt: &HalfSpaceQuadTree,
     hard_limit: Option<usize>,
@@ -1044,7 +1047,7 @@ pub fn enumerate_cells(
     options: &CellEnumOptions,
     stats: &mut QueryStats,
 ) -> (Vec<ArrangementCell>, usize) {
-    CellEnumerator::new().enumerate(qt, hard_limit, tau, options, stats)
+    CellEnumerator::new().enumerate(&mut qt.clone(), hard_limit, tau, options, stats)
 }
 
 #[derive(Debug, Clone)]
@@ -1052,6 +1055,17 @@ struct CachedLeaf {
     /// The Hamming-weight cap the cached enumeration was run with.
     max_weight: usize,
     cells: Vec<FoundCell>,
+}
+
+/// A leaf popped from the shared frontier, copied out of the tree so it can
+/// be processed without holding the frontier's lock.
+struct PoppedLeaf {
+    /// Pop order: outputs merge in it.
+    seq: usize,
+    node: usize,
+    full_len: usize,
+    partial: Vec<(HalfSpaceId, HalfSpace)>,
+    bounds: BoundingBox,
 }
 
 /// Arrangement-cell enumerator with a per-leaf memo.
@@ -1071,16 +1085,16 @@ impl CellEnumerator {
         Self::default()
     }
 
-    /// See [`enumerate_cells`].
+    /// See [`enumerate_cells`].  Splits the over-threshold leaves that the
+    /// walk reaches within the order bound, and no others.
     pub fn enumerate(
         &mut self,
-        qt: &HalfSpaceQuadTree,
+        qt: &mut HalfSpaceQuadTree,
         hard_limit: Option<usize>,
         tau: usize,
         options: &CellEnumOptions,
         stats: &mut QueryStats,
     ) -> (Vec<ArrangementCell>, usize) {
-        let threads = options.threads.max(1);
         let simplex = reduced_simplex_constraint(qt.reduced_dims() + 1);
         // A fixed bound lets the walk skip whole subtrees; the stable sort
         // keeps walk order among leaves of equal |F_l|.
@@ -1092,8 +1106,9 @@ impl CellEnumerator {
         let mut out: Vec<(usize, usize, FoundCell)> = Vec::new();
         // First pass: serve every leaf whose enumeration is already cached
         // with a sufficient Hamming-weight cap, in |F_l| order, so `best` is
-        // as tight as the cache allows before any computation starts.
-        let mut todo: Vec<LeafRef<'_>> = Vec::new();
+        // as tight as the cache allows before any computation starts.  No
+        // leaf is split here.
+        let mut frontier = Frontier::default();
         for &leaf in &leaves {
             let f = leaf.full_len;
             let cap = match hard_limit {
@@ -1116,46 +1131,59 @@ impl CellEnumerator {
                         out.push((leaf.node, f, c.clone()));
                     }
                 }
-                _ => todo.push(leaf),
+                _ => frontier.push(qt, leaf.node),
             }
         }
-        // Second pass: enumerate the remaining leaves.  With `threads > 1`
-        // the frontier is sharded over scoped threads pulling from a shared
-        // cursor; `best` is a shared atomic that only ever shrinks, so a
-        // worker reading a stale value merely enumerates with a looser cap
-        // (extra cells are filtered by the final retain), never a tighter
-        // one — the result is identical to the sequential pass.
+        let threads = if frontier.is_empty() {
+            1
+        } else {
+            options.threads.max(1)
+        };
+        // Second pass: pop the remaining leaves in (|F_l|, walk order),
+        // splitting each over-threshold leaf popped within the bound.  The
+        // frontier and the tree share one lock; a worker pops and copies a
+        // leaf under it and processes the copy outside it.  `best` is a
+        // shared atomic that only ever shrinks, so a worker reading a stale
+        // value pops with a looser cap (extra cells are filtered by the
+        // final retain), never a tighter one — the result is identical to
+        // the sequential pass.
         let shared_best = AtomicUsize::new(best);
-        let cursor = AtomicUsize::new(0);
-        let shard_outputs = scatter(threads.min(todo.len().max(1)), |_| {
+        let shared = Mutex::new((frontier, qt, 0usize));
+        let shard_outputs = scatter(threads, |_| {
             let mut shard_stats = QueryStats::default();
-            let mut computed: Vec<(usize, usize, Vec<FoundCell>)> = Vec::new();
+            let mut computed: Vec<(PoppedLeaf, usize, Vec<FoundCell>)> = Vec::new();
             loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(leaf) = todo.get(i) else { break };
-                let f = leaf.full_len;
                 let cap = match hard_limit {
                     Some(l) => l,
                     None => shared_best.load(Ordering::Relaxed).saturating_add(tau),
                 };
-                if f > cap {
-                    // `best` only shrinks, so this leaf can never qualify;
-                    // later leaves have even larger |F_l| but other shards may
-                    // already hold some, so keep draining the cursor.
-                    continue;
-                }
+                let leaf = {
+                    let mut guard = shared.lock().expect("a frontier worker panicked");
+                    let (frontier, qt, pops) = &mut *guard;
+                    let Some(node) = frontier.pop(qt, cap) else {
+                        break;
+                    };
+                    let leaf = qt.leaf(node);
+                    *pops += 1;
+                    PoppedLeaf {
+                        seq: *pops,
+                        node,
+                        full_len: leaf.full_len,
+                        partial: leaf
+                            .partial
+                            .iter()
+                            .map(|&id| (id, qt.halfspace(id)))
+                            .collect(),
+                        bounds: leaf.bounds(),
+                    }
+                };
+                let f = leaf.full_len;
                 let max_weight = (cap - f).min(leaf.partial.len());
                 shard_stats.leaves_processed += 1;
-                let partial: Vec<(HalfSpaceId, HalfSpace)> = leaf
-                    .partial
-                    .iter()
-                    .map(|&id| (id, qt.halfspace(id)))
-                    .collect();
-                let bounds = leaf.bounds();
-                let cells = if qt.reduced_dims() == 2 {
+                let cells = if leaf.bounds.dim() == 2 {
                     process_leaf_planar(
-                        &bounds,
-                        &partial,
+                        &leaf.bounds,
+                        &leaf.partial,
                         &simplex,
                         max_weight,
                         tau,
@@ -1163,8 +1191,8 @@ impl CellEnumerator {
                     )
                 } else {
                     process_leaf(
-                        &bounds,
-                        &partial,
+                        &leaf.bounds,
+                        &leaf.partial,
                         &simplex,
                         max_weight,
                         tau,
@@ -1175,14 +1203,15 @@ impl CellEnumerator {
                 if let Some(min) = cells.iter().map(|c| f + c.p_order).min() {
                     shared_best.fetch_min(min, Ordering::Relaxed);
                 }
-                computed.push((i, max_weight, cells));
+                computed.push((leaf, max_weight, cells));
             }
             (computed, shard_stats)
         });
+        let (_, qt, _) = shared.into_inner().expect("a frontier worker panicked");
         best = shared_best.load(Ordering::Relaxed);
-        // Merge shard outputs in leaf order so cache contents and the output
+        // Merge shard outputs in pop order so cache contents and the output
         // cell order are independent of scheduling.
-        let mut merged: Vec<(usize, usize, Vec<FoundCell>)> = shard_outputs
+        let mut merged: Vec<(PoppedLeaf, usize, Vec<FoundCell>)> = shard_outputs
             .into_iter()
             .flat_map(|(computed, shard_stats)| {
                 stats.leaves_processed += shard_stats.leaves_processed;
@@ -1194,9 +1223,8 @@ impl CellEnumerator {
                 computed
             })
             .collect();
-        merged.sort_by_key(|(i, _, _)| *i);
-        for (i, max_weight, cells) in merged {
-            let leaf = todo[i];
+        merged.sort_by_key(|(leaf, _, _)| leaf.seq);
+        for (leaf, max_weight, cells) in merged {
             let f = leaf.full_len;
             self.cache.insert(
                 (leaf.node, f, leaf.partial.len()),

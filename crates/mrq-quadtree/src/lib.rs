@@ -13,7 +13,12 @@
 //!
 //! A leaf splits into its `2^(d−1)` quadrants when its partial-overlap set
 //! exceeds a threshold; children that fall completely outside the permissible
-//! simplex (`Σ q_i < 1`) are discarded.
+//! simplex (`Σ q_i < 1`) are discarded.  Unlike the paper, which splits at
+//! insert time, a leaf is split only when a [`Frontier`] — the best-first
+//! walk of the cell enumeration — reaches it within the caller's bound on
+//! `|F_l|`.  A node's sets do not depend on when it splits, so every leaf
+//! the walk reaches is exactly the paper's (see [`Frontier`]); the leaves no
+//! bound reaches are simply never refined.
 //!
 //! The leaves are listed by a borrowing walk ([`HalfSpaceQuadTree::leaf_walk`])
 //! that yields each leaf's bounds, `|F_l|` and `P_l` without copying, and can
@@ -32,11 +37,11 @@
 //! and threshold, so a box test takes no square root.  Containment sets are
 //! chains of `(id, next)` links in one arena, appended in insertion order;
 //! a node keeps its chain's head, tail and length, its parent, its children
-//! (a contiguous index range) and, while it is a leaf, its `P_l`, allocated
-//! once with room for `split_threshold + 1` ids.  A [`LeafRef`] borrows its
+//! (a contiguous index range) and, while it is a leaf, its `P_l`, which
+//! starts with room for `split_threshold + 1` ids.  A [`LeafRef`] borrows its
 //! `lo`/`hi` corners and `P_l` straight from these arrays;
 //! [`LeafRef::bounds`] builds an owned box for the few leaves that need one.
 
 pub mod tree;
 
-pub use tree::{HalfSpaceId, HalfSpaceQuadTree, LeafRef, LeafWalk, QuadTreeConfig};
+pub use tree::{Frontier, HalfSpaceId, HalfSpaceQuadTree, LeafRef, LeafWalk, QuadTreeConfig};

@@ -3,15 +3,19 @@
 use mrq_geometry::{
     reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace, PreparedHalfSpace,
 };
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::ops::Range;
 
 /// Identifier of a half-space stored in the tree (insertion order).
 pub type HalfSpaceId = u32;
 
-/// Split/depth configuration.
+/// Split/depth configuration.  Both fields apply when a [`Frontier`] reaches
+/// a leaf: inserts never split.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuadTreeConfig {
-    /// A leaf splits when its partial-overlap set grows beyond this size.
+    /// A leaf that a [`Frontier`] pops is split if its partial-overlap set
+    /// holds more than this many half-spaces.
     pub split_threshold: usize,
     /// Maximum tree depth (the root has depth 0).  Bounds memory: a split
     /// creates `2^(d−1)` children, so high-dimensional trees stay shallow.
@@ -39,15 +43,16 @@ impl QuadTreeConfig {
     }
 }
 
-/// A borrowed view of one leaf, as yielded by [`HalfSpaceQuadTree::leaf_walk`].
+/// A borrowed view of one leaf, as yielded by [`HalfSpaceQuadTree::leaf_walk`]
+/// and [`HalfSpaceQuadTree::leaf`].
 ///
 /// Nothing is copied: the region is a slice of the tree's box arena, `F_l`
 /// is carried only as its size, and the ids are rebuilt on demand by
 /// [`HalfSpaceQuadTree::full_containment`].
 #[derive(Debug, Clone, Copy)]
 pub struct LeafRef<'a> {
-    /// Index of the leaf node inside the tree (stable across insertions that
-    /// do not split it).
+    /// Index of the leaf node inside the tree (stable until the leaf is
+    /// split).
     pub node: usize,
     /// The leaf's region: lower corner, then upper corner.  One slice
     /// rather than two keeps the ref small for the sort by `|F_l|`.
@@ -107,10 +112,15 @@ struct QNode {
 
 /// The augmented quad-tree over the reduced query space `[0,1]^(d−1)`.
 ///
+/// Inserts never split a leaf: they append to the `P_l` of every leaf the
+/// half-space's boundary crosses.  A leaf is split only when a [`Frontier`]
+/// reaches it, so the tree is refined where a caller's bound on `|F_l|`
+/// points and nowhere else.
+///
 /// Storage is flat: node boxes, half-space coefficients and containment ids
 /// each live in one arena indexed by node or half-space id, so besides the
-/// arenas' amortised growth an insert allocates only the `P_l` buffer of
-/// each leaf a split creates.
+/// arenas' amortised growth an insert allocates nothing and a split only the
+/// `P_l` buffers of the leaves it creates.
 #[derive(Debug, Clone)]
 pub struct HalfSpaceQuadTree {
     dr: usize,
@@ -178,12 +188,14 @@ impl HalfSpaceQuadTree {
     }
 
     /// Number of leaves (including leaves that are partially outside the
-    /// permissible simplex; fully outside leaves are never created).
+    /// permissible simplex; fully outside leaves are never created).  Counts
+    /// the tree as refined so far.
     pub fn leaf_count(&self) -> usize {
         self.nodes.iter().filter(|n| n.children.is_none()).count()
     }
 
     /// Inserts a half-space of the reduced query space, returning its id.
+    /// The tree's shape does not change.
     ///
     /// # Panics
     /// Panics if the half-space dimensionality does not match the tree's.
@@ -214,7 +226,7 @@ impl HalfSpaceQuadTree {
     }
 
     /// Appends an empty leaf whose box has already been pushed onto `boxes`.
-    /// Its `P_l` has room for the most ids a leaf holds without splitting.
+    /// Its `P_l` starts with room for the most ids a leaf holds unsplit.
     fn push_leaf(&mut self, depth: u32, parent: u32) {
         self.nodes.push(QNode {
             depth,
@@ -251,12 +263,7 @@ impl HalfSpaceQuadTree {
             BoxRelation::Contained => self.push_containment(node, id),
             BoxRelation::Overlapping => match self.nodes[node as usize].children.clone() {
                 Some(children) => children.for_each(|child| self.insert_into(child, id)),
-                None => {
-                    self.nodes[node as usize].partial.push(id);
-                    if self.needs_split(node) {
-                        self.split_leaf(node);
-                    }
-                }
+                None => self.nodes[node as usize].partial.push(id),
             },
         }
     }
@@ -264,7 +271,7 @@ impl HalfSpaceQuadTree {
     /// Splits a leaf into its quadrants, in lexicographic order of the child
     /// index bits (bit `i` selects the upper half along dimension `i`),
     /// redistributing its partial-overlap set.  Children fully outside the
-    /// permissible simplex are discarded.
+    /// permissible simplex are discarded.  The children stay unsplit.
     fn split_leaf(&mut self, node: u32) {
         let dr = self.dr;
         let partial = std::mem::take(&mut self.nodes[node as usize].partial);
@@ -299,18 +306,12 @@ impl HalfSpaceQuadTree {
                 }
             }
         }
-        let children = first..self.nodes.len() as u32;
-        self.nodes[node as usize].children = Some(children.clone());
-        // Recursively split children that are still over the threshold.
-        for child in children {
-            if self.needs_split(child) {
-                self.split_leaf(child);
-            }
-        }
+        self.nodes[node as usize].children = Some(first..self.nodes.len() as u32);
     }
 
-    /// Walks the leaves in depth-first order, children in split order,
-    /// borrowing their bounds and `P_l` from the tree.
+    /// Walks the leaves of the tree as refined so far in depth-first order,
+    /// children in split order, borrowing their bounds and `P_l` from the
+    /// tree.
     ///
     /// With `cap = Some(c)` every subtree whose inherited containment count
     /// already exceeds `c` is skipped: `|F_l|` only grows from parent to
@@ -329,15 +330,55 @@ impl HalfSpaceQuadTree {
         }
     }
 
+    /// Leaf `node` as a [`LeafRef`]; `|F_l|` is summed over the root path.
+    ///
+    /// # Panics
+    /// Panics if `node` has been split.
+    pub fn leaf(&self, node: usize) -> LeafRef<'_> {
+        assert!(
+            self.nodes[node].children.is_none(),
+            "node {node} is not a leaf"
+        );
+        self.leaf_ref(node as u32, self.full_len(node as u32))
+    }
+
+    /// `node`, its parent, and so on up to the root.
+    fn ancestors(&self, node: u32) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors(Some(node), |&at| {
+            Some(self.nodes[at as usize].parent).filter(|&parent| parent != NIL)
+        })
+    }
+
+    /// `|F|` of a node: the containment counts summed over its root path.
+    fn full_len(&self, node: u32) -> usize {
+        self.ancestors(node)
+            .map(|at| self.nodes[at as usize].containment_len as usize)
+            .sum()
+    }
+
+    /// Position of `node` among its siblings (`None` for the root).
+    fn rank(&self, node: u32) -> Option<u32> {
+        let parent = self.nodes[node as usize].parent;
+        if parent == NIL {
+            return None;
+        }
+        let siblings = self.nodes[parent as usize].children.as_ref();
+        Some(node - siblings.expect("a parent has children").start)
+    }
+
+    fn leaf_ref(&self, node: u32, full_len: usize) -> LeafRef<'_> {
+        LeafRef {
+            node: node as usize,
+            corners: self.corners(node),
+            full_len,
+            partial: &self.nodes[node as usize].partial,
+        }
+    }
+
     /// `F` of a node: the ids of the half-spaces fully containing it, as the
     /// union of the containment sets on the root-to-node path, root first.
     pub fn full_containment(&self, node: usize) -> Vec<HalfSpaceId> {
-        let mut path = Vec::new();
-        let mut at = node as u32;
-        while at != NIL {
-            path.push(at);
-            at = self.nodes[at as usize].parent;
-        }
+        let path: Vec<u32> = self.ancestors(node as u32).collect();
         let mut full = Vec::new();
         for &idx in path.iter().rev() {
             let mut link = self.nodes[idx as usize].head;
@@ -380,14 +421,7 @@ impl<'a> Iterator for LeafWalk<'a> {
                 continue;
             }
             match &node.children {
-                None => {
-                    return Some(LeafRef {
-                        node: idx as usize,
-                        corners: self.tree.corners(idx),
-                        full_len,
-                        partial: &node.partial,
-                    });
-                }
+                None => return Some(self.tree.leaf_ref(idx, full_len)),
                 Some(children) => self
                     .stack
                     .extend(children.clone().rev().map(|child| (child, full_len))),
@@ -397,9 +431,81 @@ impl<'a> Iterator for LeafWalk<'a> {
     }
 }
 
+/// A best-first walk that splits leaves on demand: nodes leave it in
+/// increasing `(|F|, depth-first walk order)`, and a leaf whose `P_l` is over
+/// the split threshold (and which is shallower than `max_depth`) is split
+/// when it is popped, its children taking its place.
+///
+/// A node's `F` and `P` depend only on which half-spaces were inserted, not
+/// on when the node was split, and `|F|` never shrinks from a node to its
+/// children.  So popping every leaf up to a cap `c` yields exactly the
+/// leaves with `|F_l| ≤ c` of the tree that splitting every over-threshold
+/// leaf at insert time would build, with the same bounds, `F_l` and `P_l`,
+/// in that tree's depth-first order stably sorted by `|F_l|`, and splits
+/// nothing whose `|F|` exceeds `c`.
+#[derive(Debug, Clone, Default)]
+pub struct Frontier {
+    /// `(|F|, child ranks on the root path, node)`; the rank path orders
+    /// nodes depth-first at any depth without an overflowing numeric key.
+    heap: BinaryHeap<Reverse<(usize, Vec<u32>, u32)>>,
+}
+
+impl Frontier {
+    /// Whether no node is queued.
+    pub fn is_empty(&self) -> bool {
+        self.heap.is_empty()
+    }
+
+    /// Queues `node` at its place in the walk order.  Queue the root (node
+    /// 0) to walk the whole tree.
+    pub fn push(&mut self, tree: &HalfSpaceQuadTree, node: usize) {
+        let node = node as u32;
+        let mut path: Vec<u32> = tree
+            .ancestors(node)
+            .filter_map(|at| tree.rank(at))
+            .collect();
+        path.reverse();
+        self.heap.push(Reverse((tree.full_len(node), path, node)));
+    }
+
+    /// Pops the next leaf with `|F_l| ≤ cap` and returns its index (see
+    /// [`HalfSpaceQuadTree::leaf`]).  Every over-threshold leaf and every
+    /// internal node met on the way is replaced by its children.  Returns
+    /// `None`, leaving the queue as it is, once the smallest queued `|F|`
+    /// exceeds `cap`.
+    pub fn pop(&mut self, tree: &mut HalfSpaceQuadTree, cap: usize) -> Option<usize> {
+        loop {
+            if self.heap.peek()?.0 .0 > cap {
+                return None;
+            }
+            let Reverse((full_len, path, node)) = self.heap.pop().expect("peeked");
+            if tree.nodes[node as usize].children.is_none() {
+                if !tree.needs_split(node) {
+                    return Some(node as usize);
+                }
+                tree.split_leaf(node);
+            }
+            let children = tree.nodes[node as usize].children.clone().expect("split");
+            for (rank, child) in children.enumerate() {
+                let child_path = [&path[..], &[rank as u32]].concat();
+                let child_full = full_len + tree.nodes[child as usize].containment_len as usize;
+                self.heap.push(Reverse((child_full, child_path, child)));
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Splits every over-threshold leaf, as the enumerator would on reaching
+    /// it.
+    fn refine(t: &mut HalfSpaceQuadTree) {
+        let mut frontier = Frontier::default();
+        frontier.push(t, 0);
+        while frontier.pop(t, usize::MAX).is_some() {}
+    }
 
     fn hs(coeffs: &[f64], rhs: f64) -> HalfSpace {
         HalfSpace::new(coeffs.to_vec(), rhs)
@@ -455,6 +561,7 @@ mod tests {
         .into_iter()
         .map(|h| t.insert(h))
         .collect();
+        refine(&mut t);
         assert!(t.leaf_count() > 1, "leaf must have split");
         for leaf in t.leaf_walk(None) {
             let full = t.full_containment(leaf.node);
@@ -510,6 +617,7 @@ mod tests {
             let rhs = next() - 0.5;
             t.insert(HalfSpace::new(coeffs, rhs));
         }
+        refine(&mut t);
         for leaf in t.leaf_walk(None) {
             let full = t.full_containment(leaf.node);
             assert_eq!(full.len(), leaf.full_len);
@@ -541,6 +649,7 @@ mod tests {
         );
         t.insert(hs(&[1.0, -1.0], 0.0));
         t.insert(hs(&[-1.0, 1.0], 0.0));
+        refine(&mut t);
         assert!(t.leaf_count() > 1);
         for leaf in t.leaf_walk(None) {
             let lo_sum: f64 = leaf.lo().iter().sum();
@@ -570,6 +679,7 @@ mod tests {
                 0.5 * (angle.cos() + angle.sin()),
             ));
         }
+        refine(&mut t);
         let max_depth_seen = t
             .leaf_walk(None)
             .map(|l| {
@@ -581,6 +691,59 @@ mod tests {
             .max()
             .unwrap();
         assert!(max_depth_seen <= 1);
+    }
+
+    #[test]
+    fn inserts_never_split() {
+        let mut t = HalfSpaceQuadTree::with_config(
+            2,
+            QuadTreeConfig {
+                split_threshold: 1,
+                max_depth: 4,
+            },
+        );
+        // Lines through the centre: every one crosses the root.
+        for i in 0..100 {
+            let angle = i as f64 * 0.03;
+            t.insert(hs(
+                &[angle.cos(), angle.sin()],
+                0.5 * (angle.cos() + angle.sin()),
+            ));
+        }
+        assert_eq!(t.node_count(), 1);
+        assert_eq!(t.leaf(0).partial.len(), t.halfspace_count());
+        refine(&mut t);
+        assert!(t.node_count() > 1);
+    }
+
+    #[test]
+    fn frontier_stops_at_the_cap_and_splits_nothing_beyond_it() {
+        let mut t = HalfSpaceQuadTree::with_config(
+            2,
+            QuadTreeConfig {
+                split_threshold: 1,
+                max_depth: 4,
+            },
+        );
+        // Contains the whole space, so every node has |F| ≥ 1.
+        t.insert(hs(&[1.0, 1.0], -0.5));
+        for i in 0..10 {
+            t.insert(hs(&[1.0, -1.0], 0.1 * i as f64 - 0.5));
+        }
+        let mut frontier = Frontier::default();
+        frontier.push(&t, 0);
+        assert_eq!(frontier.pop(&mut t, 0), None);
+        assert_eq!(t.node_count(), 1, "a node over the cap is never split");
+        let mut popped = Vec::new();
+        while let Some(node) = frontier.pop(&mut t, 3) {
+            popped.push(t.leaf(node).full_len);
+        }
+        assert!(t.node_count() > 1);
+        assert!(!popped.is_empty());
+        assert!(popped.windows(2).all(|w| w[0] <= w[1]), "{popped:?}");
+        assert!(popped.iter().all(|&f| (1..=3).contains(&f)));
+        let walked: Vec<usize> = t.leaf_walk(Some(3)).map(|l| l.full_len).collect();
+        assert_eq!(walked.len(), popped.len());
     }
 
     #[test]

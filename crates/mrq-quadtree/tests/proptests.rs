@@ -2,10 +2,19 @@
 //! sets, every leaf's full-containment and partial-overlap sets must be
 //! geometrically correct and jointly account for every inserted half-space,
 //! and membership derived from the tree must agree with direct evaluation.
+//! Each tree is fully refined first, through the frontier the enumerator
+//! uses.
 
 use mrq_geometry::{BoxRelation, HalfSpace};
-use mrq_quadtree::{HalfSpaceQuadTree, QuadTreeConfig};
+use mrq_quadtree::{Frontier, HalfSpaceQuadTree, QuadTreeConfig};
 use proptest::prelude::*;
+
+/// Splits every over-threshold leaf.
+fn refine(qt: &mut HalfSpaceQuadTree) {
+    let mut frontier = Frontier::default();
+    frontier.push(qt, 0);
+    while frontier.pop(qt, usize::MAX).is_some() {}
+}
 
 fn halfspaces_strategy(dr: usize) -> impl Strategy<Value = Vec<HalfSpace>> {
     prop::collection::vec(
@@ -46,6 +55,7 @@ proptest! {
             let rhs = rng.gen::<f64>() - 0.5;
             qt.insert(HalfSpace::new(coeffs, rhs));
         }
+        refine(&mut qt);
         for leaf in qt.leaf_walk(None) {
             let full = qt.full_containment(leaf.node);
             for id in 0..qt.halfspace_count() as u32 {
@@ -71,6 +81,7 @@ proptest! {
         for h in &halfspaces {
             qt.insert(h.clone());
         }
+        refine(&mut qt);
         let point = [px, py];
         let direct = qt.containing_halfspaces(&point).len();
         // Find the leaf containing the point.

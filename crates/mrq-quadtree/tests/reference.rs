@@ -1,14 +1,20 @@
 //! The flat quad-tree against a reference builder that keeps one owned box
 //! and two growable id vectors per node: the straightforward form of the
 //! paper's Section 5.1 insert (recursive descent, `BoundingBox::relation_to`,
-//! `BoundingBox::quadrants`).  For random insert sequences over the inputs
-//! that break geometry code (degenerate normals, integer coefficients,
-//! `rhs` exactly on a box corner, duplicates), both trees must have the same
-//! leaves in the same walk order with bit-identical bounds, `|F_l|`, `P_l`,
-//! `F_l` and capped walks.
+//! `BoundingBox::quadrants`), which splits every over-threshold leaf at
+//! insert time.  The flat tree splits a leaf only when a `Frontier` reaches
+//! it.  For random insert sequences over the inputs that break geometry code
+//! (degenerate normals, integer coefficients, `rhs` exactly on a box corner,
+//! duplicates):
+//!
+//! * after full refinement both trees have the same leaves in the same walk
+//!   order with bit-identical bounds, `|F_l|`, `P_l`, `F_l` and capped walks;
+//! * after refining to a cap `c`, even with inserts between refinements, the
+//!   flat tree's leaves with `|F_l| ≤ c` are the reference's, in walk order,
+//!   and the frontier pops them in walk order stably sorted by `|F_l|`.
 
 use mrq_geometry::{reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace};
-use mrq_quadtree::{HalfSpaceId, HalfSpaceQuadTree, QuadTreeConfig};
+use mrq_quadtree::{Frontier, HalfSpaceId, HalfSpaceQuadTree, LeafRef, QuadTreeConfig};
 use proptest::prelude::*;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::ops::Range;
@@ -28,8 +34,10 @@ struct RefTree {
     nodes: Vec<RefNode>,
 }
 
-/// One leaf of the reference walk: node index, bounds, `F_l`, `P_l`.
-type RefLeaf = (usize, BoundingBox, Vec<HalfSpaceId>, Vec<HalfSpaceId>);
+/// One leaf as both trees describe it: the bits of its lower and upper
+/// corners, `F_l` and `P_l`.  Node indices differ, since the flat tree splits
+/// in a different order.
+type Leaf = (Vec<u64>, Vec<u64>, Vec<HalfSpaceId>, Vec<HalfSpaceId>);
 
 impl RefTree {
     fn new(dr: usize, config: QuadTreeConfig) -> Self {
@@ -105,12 +113,17 @@ impl RefTree {
 
     /// Depth-first leaves, children in split order, each carrying the union
     /// of the containment sets on its root-to-leaf path.
-    fn leaves(&self) -> Vec<RefLeaf> {
-        fn rec(t: &RefTree, idx: usize, inherited: &[HalfSpaceId], out: &mut Vec<RefLeaf>) {
+    fn leaves(&self) -> Vec<Leaf> {
+        fn rec(t: &RefTree, idx: usize, inherited: &[HalfSpaceId], out: &mut Vec<Leaf>) {
             let node = &t.nodes[idx];
             let full = [inherited, &node.containment].concat();
             match &node.children {
-                None => out.push((idx, node.bounds.clone(), full, node.partial.clone())),
+                None => out.push((
+                    bits(&node.bounds.lo),
+                    bits(&node.bounds.hi),
+                    full,
+                    node.partial.clone(),
+                )),
                 Some(children) => children.clone().for_each(|c| rec(t, c, &full, out)),
             }
         }
@@ -122,6 +135,26 @@ impl RefTree {
 
 fn bits(xs: &[f64]) -> Vec<u64> {
     xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Pops every leaf with `|F_l| ≤ cap` from a frontier over the whole tree,
+/// splitting the over-threshold ones, and returns them in pop order.
+fn refine(tree: &mut HalfSpaceQuadTree, cap: usize) -> Vec<usize> {
+    let mut frontier = Frontier::default();
+    frontier.push(tree, 0);
+    std::iter::from_fn(|| frontier.pop(tree, cap)).collect()
+}
+
+/// A flat-tree leaf as the reference describes one.
+fn described(tree: &HalfSpaceQuadTree, leaf: LeafRef<'_>) -> Leaf {
+    let full = tree.full_containment(leaf.node);
+    assert_eq!(full.len(), leaf.full_len);
+    (
+        bits(leaf.lo()),
+        bits(leaf.hi()),
+        full,
+        leaf.partial.to_vec(),
+    )
 }
 
 /// A random insert sequence mixing the hard cases.  Boxes of the tree are
@@ -178,28 +211,62 @@ proptest! {
             reference.insert(h.clone());
             tree.insert(h);
         }
+        prop_assert_eq!(tree.node_count(), 1);
+        refine(&mut tree, usize::MAX);
         prop_assert_eq!(tree.node_count(), reference.nodes.len());
         let expected = reference.leaves();
-        let walked: Vec<_> = tree.leaf_walk(None).collect();
-        prop_assert_eq!(walked.len(), expected.len());
+        let walked: Vec<Leaf> = tree.leaf_walk(None).map(|l| described(&tree, l)).collect();
+        prop_assert_eq!(&walked, &expected);
         prop_assert_eq!(tree.leaf_count(), expected.len());
-        for (leaf, (node, bounds, full, partial)) in walked.iter().zip(&expected) {
-            prop_assert_eq!(leaf.node, *node);
-            prop_assert_eq!(bits(leaf.lo()), bits(&bounds.lo));
-            prop_assert_eq!(bits(leaf.hi()), bits(&bounds.hi));
-            prop_assert_eq!(leaf.full_len, full.len());
-            prop_assert_eq!(leaf.partial, &partial[..]);
-            prop_assert_eq!(&tree.full_containment(leaf.node), full);
-        }
         let deepest = expected.iter().map(|l| l.2.len()).max().unwrap_or(0);
         for cap in 0..=deepest + 1 {
-            let capped: Vec<usize> = tree.leaf_walk(Some(cap)).map(|l| l.node).collect();
-            let filtered: Vec<usize> = expected
-                .iter()
-                .filter(|l| l.2.len() <= cap)
-                .map(|l| l.0)
-                .collect();
+            let capped: Vec<Leaf> =
+                tree.leaf_walk(Some(cap)).map(|l| described(&tree, l)).collect();
+            let filtered: Vec<Leaf> =
+                expected.iter().filter(|l| l.2.len() <= cap).cloned().collect();
             prop_assert_eq!(capped, filtered, "cap {}", cap);
         }
+    }
+
+    #[test]
+    fn refining_to_a_cap_matches_the_reference_leaves_under_it(
+        dr in 1usize..=4,
+        split_threshold in 1usize..=8,
+        max_depth in 0usize..=5,
+        count in 0usize..60,
+        first_cap in 0usize..6,
+        cap in 0usize..10,
+        seed in any::<u64>(),
+    ) {
+        let config = QuadTreeConfig { split_threshold, max_depth };
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tree = HalfSpaceQuadTree::with_config(dr, config);
+        let mut reference = RefTree::new(dr, config);
+        let sequence = insert_sequence(dr, count, &mut rng);
+        let (early, late) = sequence.split_at(count / 2);
+        // Refine part-way through, as AA does between rounds.
+        for h in early {
+            reference.insert(h.clone());
+            tree.insert(h.clone());
+        }
+        refine(&mut tree, first_cap);
+        for h in late {
+            reference.insert(h.clone());
+            tree.insert(h.clone());
+        }
+        let popped = refine(&mut tree, cap);
+        prop_assert!(tree.node_count() <= reference.nodes.len());
+        let mut expected: Vec<Leaf> = reference
+            .leaves()
+            .into_iter()
+            .filter(|l| l.2.len() <= cap)
+            .collect();
+        let walked: Vec<Leaf> =
+            tree.leaf_walk(Some(cap)).map(|l| described(&tree, l)).collect();
+        prop_assert_eq!(&walked, &expected);
+        expected.sort_by_key(|l| l.2.len());
+        let popped: Vec<Leaf> =
+            popped.into_iter().map(|node| described(&tree, tree.leaf(node))).collect();
+        prop_assert_eq!(&popped, &expected);
     }
 }
