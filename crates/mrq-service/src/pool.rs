@@ -119,6 +119,13 @@ struct Shared {
     executed: AtomicU64,
     timed_out: AtomicU64,
     deadline_rejected: AtomicU64,
+    /// Test hooks, armed per pool so that concurrently running tests never
+    /// consume each other's: milliseconds each worker sleeps between the
+    /// cache lookup and evaluation, and whether the next evaluation panics.
+    #[cfg(test)]
+    pre_eval_delay_ms: AtomicU64,
+    #[cfg(test)]
+    panic_next_eval: std::sync::atomic::AtomicBool,
 }
 
 /// The worker pool.  Dropping it shuts it down gracefully.
@@ -164,6 +171,10 @@ impl WorkerPool {
             executed: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
             deadline_rejected: AtomicU64::new(0),
+            #[cfg(test)]
+            pre_eval_delay_ms: AtomicU64::new(0),
+            #[cfg(test)]
+            panic_next_eval: Default::default(),
         });
         let handles = (0..config.workers)
             .map(|i| {
@@ -226,6 +237,12 @@ impl WorkerPool {
             timed_out: self.shared.timed_out.load(Ordering::Relaxed),
             deadline_rejected: self.shared.deadline_rejected.load(Ordering::Relaxed),
         }
+    }
+
+    /// Makes the next evaluation in this pool panic (tests only).
+    #[cfg(test)]
+    pub(crate) fn panic_next_eval(&self) {
+        self.shared.panic_next_eval.store(true, Ordering::Relaxed);
     }
 
     /// Graceful shutdown: stop accepting jobs, drain the queue, join the
@@ -291,7 +308,7 @@ fn run_job(shared: &Shared, job: QueryJob) {
         // Test hook: widen the window between the cache lookup and
         // evaluation so the second deadline check below can be exercised
         // deterministically.
-        let ms = PRE_EVAL_DELAY_MS.load(Ordering::Relaxed);
+        let ms = shared.pre_eval_delay_ms.load(Ordering::Relaxed);
         if ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
@@ -315,7 +332,7 @@ fn run_job(shared: &Shared, job: QueryJob) {
     };
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         #[cfg(test)]
-        if PANIC_NEXT_EVAL.swap(false, Ordering::Relaxed) {
+        if shared.panic_next_eval.swap(false, Ordering::Relaxed) {
             panic!("injected evaluation panic");
         }
         MaxRankQuery::new(job.entry.data(), job.entry.tree()).evaluate(job.focal, &config)
@@ -348,16 +365,6 @@ fn respond(job: &QueryJob, result: Result<Arc<MaxRankResult>, ServiceError>, cac
     // The waiter may have given up (deadline) — a closed channel is fine.
     let _ = job.responder.send(JobOutcome { result, cached });
 }
-
-/// Milliseconds each worker sleeps between the cache lookup and evaluation
-/// (tests only; see `deadline_expiring_after_triage_is_rejected_pre_eval`).
-#[cfg(test)]
-static PRE_EVAL_DELAY_MS: AtomicU64 = AtomicU64::new(0);
-
-/// Makes the next evaluation on any worker panic (tests only; see
-/// `panicking_job_does_not_wedge_subsequent_submissions`).
-#[cfg(test)]
-static PANIC_NEXT_EVAL: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
 
 #[cfg(test)]
 mod tests {
@@ -454,12 +461,11 @@ mod tests {
         // timed_out), and never evaluated.
         let entry = demo_entry();
         let pool = pool(1, 8, Arc::new(ResultCache::new(0)));
-        PRE_EVAL_DELAY_MS.store(600, Ordering::Relaxed);
+        pool.shared.pre_eval_delay_ms.store(600, Ordering::Relaxed);
         let deadline = Instant::now() + Duration::from_millis(200);
         let (j, rx) = job(&entry, 5, Some(deadline), None);
         pool.submit(j).unwrap();
         let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        PRE_EVAL_DELAY_MS.store(0, Ordering::Relaxed);
         assert_eq!(out.result.unwrap_err(), ServiceError::DeadlineExceeded);
         let stats = pool.stats();
         assert_eq!(stats.deadline_rejected, 1);
@@ -475,7 +481,7 @@ mod tests {
         // waiter must get a typed error, and the worker must keep serving.
         let entry = demo_entry();
         let pool = pool(1, 8, Arc::new(ResultCache::new(0)));
-        PANIC_NEXT_EVAL.store(true, Ordering::Relaxed);
+        pool.panic_next_eval();
         let (j, rx) = job(&entry, 5, None, None);
         pool.submit(j).unwrap();
         let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();

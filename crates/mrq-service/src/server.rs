@@ -2,14 +2,15 @@
 //! all funnelling into the shared [`MrqService`].
 //!
 //! Connection threads never evaluate queries themselves — they parse frames,
-//! enqueue jobs on the bounded pool ([`MrqService::try_enqueue`], so a full
-//! queue surfaces as a `queue full` error frame instead of unbounded
-//! buffering) and write the answer back.  Every wait is a blocking call: the
-//! accept thread blocks in `accept` (shutdown pokes it awake with a
-//! throwaway connection) and a connection thread blocks for the first byte
-//! of its next frame.  [`Server::wait`] shuts the read side of every live
-//! connection, which turns those blocked reads into EOF, and waits until
-//! every connection thread has left.  No thread wakes on a timer.
+//! enqueue jobs on the bounded pool (a `query` through
+//! [`MrqService::try_enqueue`], so a full queue surfaces as a `queue full`
+//! error frame; `subscribe` and `update` wait for room) and write the answer
+//! back.  Every wait is a blocking call: the accept thread blocks in
+//! `accept` (shutdown pokes it awake with a throwaway connection) and a
+//! connection thread blocks for the first byte of its next frame.
+//! [`Server::wait`] shuts the read side of every live connection, which
+//! turns those blocked reads into EOF, and waits until every connection
+//! thread has left.  No thread wakes on a timer.
 //!
 //! `NOTIFY` frames are written by whoever produced them: the update that
 //! triages a subscription flushes the connection's [`NotifyMailbox`], which
@@ -331,10 +332,9 @@ fn serve_frames(
                 algorithm,
                 tau,
             }) => {
-                // The initial evaluation runs right here on the connection
-                // thread (like updates: registration must be atomic with
-                // respect to the dataset's update stream, so it cannot go
-                // through the pool).
+                // The initial query goes through the pool while this thread
+                // holds the dataset's subscription lock, so registration is
+                // atomic with respect to the dataset's update stream.
                 match service.subscribe(&dataset, focal, algorithm, tau, Arc::clone(mailbox)) {
                     Ok(sub) => subscribed_payload(&sub),
                     Err(err) => error_payload(&err),
@@ -374,9 +374,9 @@ fn serve_frames(
                 inserts,
                 deletes,
             }) => {
-                // Updates run on the connection thread: they are serialized
-                // per dataset by the registry handle, and never compete with
-                // queries for the worker pool.
+                // The apply runs on the connection thread, serialized per
+                // dataset; standing queries it may have changed are
+                // re-evaluated as ordinary queries through the pool.
                 let outcome = service.update_with_id(
                     &dataset,
                     &update_batch(&inserts, &deletes),

@@ -1,15 +1,20 @@
 //! The in-process query service: registry → queue → worker pool → cache,
 //! composed behind one handle.  The TCP server is a thin framing layer over
 //! this type, and `maxrank-cli --threads` drives it directly.
+//!
+//! There is one evaluation path: every evaluation, including a standing
+//! query's initial one and its re-evaluations after an update, is a
+//! [`MrqService::query`] through the pool, with its cache, panic isolation,
+//! deadlines and counters.
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::error::ServiceError;
 use crate::pool::{JobOutcome, PoolConfig, PoolStats, QueryJob, WorkerPool};
 use crate::querystats::{DatasetQueryStats, QueryStatsBook};
-use crate::registry::{DatasetEntry, DatasetRegistry, DurabilityStats, UpdateOutcome};
+use crate::registry::{DatasetRegistry, DurabilityStats, UpdateOutcome};
 use crate::subscriptions::{NotifyMailbox, Subscription, SubscriptionBook, SubscriptionStats};
 use crate::sync::lock_or_recover;
-use mrq_core::{Algorithm, MaxRankConfig, MaxRankQuery, MaxRankResult};
+use mrq_core::{Algorithm, MaxRankResult};
 use mrq_data::{RecordId, Update};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -282,17 +287,16 @@ impl MrqService {
         self.enqueue(request)?.wait()
     }
 
-    /// Snapshot + focal/algorithm validation shared by queries and
-    /// subscriptions.  Returns the pinned snapshot and the resolved
-    /// algorithm.
-    fn validated_snapshot(
+    /// Validates a request against a snapshot of its dataset and enqueues
+    /// it on that snapshot.
+    fn enqueue_inner(
         &self,
-        dataset: &str,
-        focal: RecordId,
-        algorithm: Algorithm,
-    ) -> Result<(Arc<DatasetEntry>, Algorithm), ServiceError> {
-        // Snapshot: the caller keeps this entry for as long as it needs, so
-        // a concurrent update cannot move the data out from under it.
+        request: &QueryRequest,
+        block: bool,
+    ) -> Result<PendingAnswer, ServiceError> {
+        let (dataset, focal) = (&request.dataset, request.focal);
+        // Snapshot: the job keeps this entry for as long as it needs, so a
+        // concurrent update cannot move the data out from under it.
         let entry = self
             .registry
             .get(dataset)
@@ -310,31 +314,21 @@ impl MrqService {
                 entry.version()
             )));
         }
-        if algorithm.requires_2d() && dims != 2 {
+        if request.algorithm.requires_2d() && dims != 2 {
             return Err(ServiceError::BadRequest(format!(
                 "algorithm '{}' only supports 2-dimensional data (dataset '{dataset}' has {dims})",
-                algorithm.name(),
+                request.algorithm.name(),
             )));
         }
-        let resolved = algorithm.resolve(dims);
-        Ok((entry, resolved))
-    }
-
-    fn enqueue_inner(
-        &self,
-        request: &QueryRequest,
-        block: bool,
-    ) -> Result<PendingAnswer, ServiceError> {
-        let (entry, algorithm) =
-            self.validated_snapshot(&request.dataset, request.focal, request.algorithm)?;
+        let algorithm = request.algorithm.resolve(dims);
         let deadline = request
             .timeout
             .or(self.config.default_deadline)
             .map(|t| Instant::now() + t);
         let cache_key = (!request.no_cache).then(|| CacheKey {
-            dataset: request.dataset.clone(),
+            dataset: dataset.clone(),
             version: entry.version(),
-            focal: request.focal,
+            focal,
             algorithm,
             tau: request.tau,
         });
@@ -342,7 +336,7 @@ impl MrqService {
         let version = entry.version();
         let job = QueryJob {
             entry,
-            focal: request.focal,
+            focal,
             algorithm,
             tau: request.tau,
             threads: request.threads.clamp(1, MAX_REQUEST_THREADS),
@@ -369,8 +363,10 @@ impl MrqService {
     /// registry handle); queries already in flight keep the snapshot they
     /// started with and queries arriving after the swap see the new version.
     /// The batch is atomic — on the first rejected update nothing of the
-    /// batch becomes visible.  Runs on the calling thread: mutation latency
-    /// never competes with queries for the worker pool.
+    /// batch becomes visible.  The apply runs on the calling thread; a
+    /// standing query the batch may have changed is re-evaluated as an
+    /// ordinary query through the pool, and one whose re-evaluation fails is
+    /// cancelled without failing the (already committed) update.
     pub fn update(&self, dataset: &str, updates: &[Update]) -> Result<UpdateOutcome, ServiceError> {
         self.update_with_id(dataset, updates, None)
     }
@@ -398,7 +394,8 @@ impl MrqService {
         // Hold the dataset's subscription lock across apply + triage: a
         // subscriber registering concurrently either sees the pre-batch
         // snapshot (and is then triaged by this batch) or the post-batch one
-        // — never a result stamped with the wrong version.
+        // — never a result stamped with the wrong version.  It also pins
+        // every re-evaluation below to the post-apply snapshot.
         let subs = self.subscriptions.dataset(dataset);
         let mut subs = lock_or_recover(&subs);
         let (outcome, replayed) =
@@ -426,7 +423,13 @@ impl MrqService {
         let mailboxes = match self.registry.get(dataset) {
             Some(entry) if !subs.is_empty() => {
                 self.subscriptions
-                    .triage_batch(&mut subs, &entry, updates, outcome.version)
+                    .triage_batch(&mut subs, &entry, updates, |sub: &Subscription| {
+                        self.query(&QueryRequest {
+                            algorithm: sub.algorithm(),
+                            tau: sub.tau(),
+                            ..QueryRequest::new(dataset, sub.focal())
+                        })
+                    })
             }
             _ => Vec::new(),
         };
@@ -441,15 +444,16 @@ impl MrqService {
         Ok(outcome)
     }
 
-    /// Registers a standing query: evaluates the focal's MaxRank result on
+    /// Registers a standing query: queries the focal's MaxRank result on
     /// the current snapshot, keeps it resident and maintains it under every
     /// subsequent update batch.  Change (and cancellation) events are pushed
     /// to `mailbox` and flushed by the update that produced them (a server
     /// connection's mailbox writes them as `NOTIFY` frames; an in-process
     /// caller drains it).
     ///
-    /// The initial evaluation runs on the calling thread under the dataset's
-    /// subscription lock — registration is atomic with respect to updates.
+    /// The initial query goes through the pool like any other (cache,
+    /// default deadline, counters), under the dataset's subscription lock —
+    /// registration is atomic with respect to updates.
     pub fn subscribe(
         &self,
         dataset: &str,
@@ -460,23 +464,14 @@ impl MrqService {
     ) -> Result<Arc<Subscription>, ServiceError> {
         let subs = self.subscriptions.dataset(dataset);
         let mut subs = lock_or_recover(&subs);
-        let (entry, resolved) = self.validated_snapshot(dataset, focal, algorithm)?;
-        let config = MaxRankConfig {
+        let answer = self.query(&QueryRequest {
+            algorithm,
             tau,
-            algorithm: resolved,
-            ..MaxRankConfig::new()
-        };
-        let result =
-            Arc::new(MaxRankQuery::new(entry.data(), entry.tree()).evaluate(focal, &config));
-        let sub = self.subscriptions.create(
-            dataset,
-            focal,
-            resolved,
-            tau,
-            result,
-            entry.version(),
-            mailbox,
-        );
+            ..QueryRequest::new(dataset, focal)
+        })?;
+        let sub = self
+            .subscriptions
+            .create(dataset, focal, tau, answer, mailbox);
         subs.push(Arc::clone(&sub));
         Ok(sub)
     }
@@ -944,6 +939,136 @@ mod tests {
             Err(ServiceError::BadRequest(_))
         ));
         service.shutdown();
+        // The initial query is an ordinary one: the default deadline applies.
+        let strict = demo_service(ServiceConfig {
+            default_deadline: Some(Duration::ZERO),
+            ..ServiceConfig::default()
+        });
+        assert_eq!(
+            strict
+                .subscribe("demo", 5, Algorithm::Auto, 0, Arc::clone(&mailbox))
+                .unwrap_err(),
+            ServiceError::DeadlineExceeded
+        );
+        assert_eq!(strict.stats().subscriptions.active, 0);
+        strict.shutdown();
+    }
+
+    /// The `Cancelled` reasons drained from `mailbox`; panics on any other
+    /// event.
+    fn cancellations(mailbox: &NotifyMailbox) -> Vec<String> {
+        use crate::subscriptions::NotifyKind;
+        let reasons = mailbox.drain().into_iter().map(|event| match event.kind {
+            NotifyKind::Cancelled { reason } => reason,
+            other => panic!("expected cancellation, got {other:?}"),
+        });
+        reasons.collect()
+    }
+
+    #[test]
+    fn co_subscribers_share_one_evaluation() {
+        use crate::subscriptions::{NotifyKind, NotifyMailbox};
+        const K: u64 = 5;
+
+        let service = demo_service(ServiceConfig::default());
+        let queried = service.query(&QueryRequest::new("demo", 5)).unwrap();
+        let mailbox = Arc::new(NotifyMailbox::new());
+        let subs: Vec<_> = (0..K)
+            .map(|_| {
+                service
+                    .subscribe("demo", 5, Algorithm::Auto, 0, Arc::clone(&mailbox))
+                    .unwrap()
+            })
+            .collect();
+        // Every SUBSCRIBE after the query at the same version is a cache hit.
+        assert!(subs
+            .iter()
+            .all(|sub| Arc::ptr_eq(&sub.snapshot().0, &queried.result)));
+        let before = service.stats();
+        assert_eq!(before.pool.executed, 1);
+        assert_eq!(before.cache.hits, K);
+
+        // Deleting an incomparable record re-enumerates every subscription:
+        // the first re-evaluation fills the cache, the rest hit it.
+        service.update("demo", &[Update::Delete(2)]).unwrap();
+        let after = service.stats();
+        assert_eq!(
+            after.subscriptions.full_reevals - before.subscriptions.full_reevals,
+            K
+        );
+        assert_eq!(after.pool.executed - before.pool.executed, 1);
+        let results: Vec<_> = mailbox
+            .drain()
+            .into_iter()
+            .map(|event| match event.kind {
+                NotifyKind::Changed { result, .. } => result,
+                other => panic!("expected change, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(results.len() as u64, K);
+        assert!(results.iter().all(|r| Arc::ptr_eq(r, &results[0])));
+        assert!(Arc::ptr_eq(&subs[0].snapshot().0, &results[0]));
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_reevaluation_cancels_the_subscription() {
+        use crate::subscriptions::NotifyMailbox;
+
+        let service = demo_service(ServiceConfig::default());
+        let mailbox = Arc::new(NotifyMailbox::new());
+        service
+            .subscribe("demo", 5, Algorithm::Auto, 0, Arc::clone(&mailbox))
+            .unwrap();
+        service.pool.panic_next_eval();
+        // The batch committed, so the update succeeds at its version.
+        let outcome = service.update("demo", &[Update::Delete(2)]).unwrap();
+        assert_eq!(outcome.version, 1);
+        let reasons = cancellations(&mailbox);
+        assert_eq!(reasons.len(), 1);
+        assert!(
+            reasons[0].contains("re-evaluation failed"),
+            "{}",
+            reasons[0]
+        );
+        assert!(reasons[0].contains("panicked"), "{}", reasons[0]);
+        assert_eq!(service.stats().subscriptions.active, 0);
+
+        // Neither the worker nor the dataset is wedged.
+        service
+            .update("demo", &[Update::Insert(vec![0.95, 0.95])])
+            .unwrap();
+        let sub = service
+            .subscribe("demo", 5, Algorithm::Auto, 0, Arc::clone(&mailbox))
+            .unwrap();
+        let (result, version) = sub.snapshot();
+        assert_eq!(version, 2);
+        let fresh = service
+            .query(&QueryRequest {
+                no_cache: true,
+                ..QueryRequest::new("demo", 5)
+            })
+            .unwrap();
+        assert_eq!(result.k_star, fresh.result.k_star);
+        service.shutdown();
+    }
+
+    #[test]
+    fn an_update_after_shutdown_cancels_subscriptions_it_cannot_reevaluate() {
+        use crate::subscriptions::NotifyMailbox;
+
+        let service = demo_service(ServiceConfig::default());
+        let mailbox = Arc::new(NotifyMailbox::new());
+        service
+            .subscribe("demo", 5, Algorithm::Auto, 0, Arc::clone(&mailbox))
+            .unwrap();
+        service.shutdown();
+        let outcome = service.update("demo", &[Update::Delete(2)]).unwrap();
+        assert_eq!(outcome.version, 1);
+        let reasons = cancellations(&mailbox);
+        assert_eq!(reasons.len(), 1);
+        assert!(reasons[0].contains("shutting down"), "{}", reasons[0]);
+        assert_eq!(service.stats().subscriptions.active, 0);
     }
 
     #[test]

@@ -8,32 +8,36 @@
 //! tests and dot products against the retained region boxes into
 //! *unaffected* (keep the result, bump the version stamp), *rank-shift-only*
 //! (adjust `k*` and region orders arithmetically), or *re-enumerate* (re-run
-//! the evaluation).  Subscribers are told about changes through
-//! per-connection [`NotifyMailbox`]es, which the update that produced an
-//! event flushes to the socket as a server-push `NOTIFY` frame.
+//! the evaluation).  This module never evaluates: a re-enumeration calls
+//! back into the service, which runs it as an ordinary pool query, so
+//! co-subscribers share one evaluation through the result cache.  A failed
+//! re-evaluation cancels the subscription.  Subscribers are told about
+//! changes through per-connection [`NotifyMailbox`]es, which the update that
+//! produced an event flushes to the socket as a server-push `NOTIFY` frame.
 //!
 //! Concurrency model: all subscriptions of one dataset sit behind one mutex
 //! (see [`SubscriptionBook::dataset`]).  `MrqService::update` holds it from
 //! *before* the registry apply until triage has queued its events, and
-//! `MrqService::subscribe` holds it across the initial evaluation and
-//! registration — so a resident result is always exact for the version it is
-//! stamped with, with no window where an update could slip between an
-//! evaluation and the bookkeeping.  Flushes happen after that lock is
-//! released; events are queued in lock order and every flush writes the
-//! whole queue, so a subscription's versions still arrive in order.
+//! `MrqService::subscribe` holds it across the initial query and
+//! registration.  No update can land while the lock is held, so every query
+//! made under it answers at the version the subscription is stamped with.
+//! Flushes happen after that lock is released; events are queued in lock
+//! order and every flush writes the whole queue, so a subscription's
+//! versions still arrive in order.
 
+use crate::error::ServiceError;
 use crate::protocol::{notify_payload, write_frame};
+use crate::registry::DatasetEntry;
+use crate::service::QueryAnswer;
 use crate::sync::lock_or_recover;
 use mrq_core::maintain::{shift_result, triage_delete, triage_insert, DeltaTriage};
-use mrq_core::{Algorithm, MaxRankConfig, MaxRankQuery, MaxRankResult};
+use mrq_core::{Algorithm, MaxRankResult};
 use mrq_data::{RecordId, Update};
 use std::collections::{HashMap, VecDeque};
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
-
-use crate::registry::DatasetEntry;
 
 /// All subscriptions of one dataset, behind the lock that serializes
 /// updates, triage and new registrations for that dataset.
@@ -50,8 +54,9 @@ pub enum NotifyKind {
         /// The concrete algorithm maintaining the subscription.
         algorithm: Algorithm,
     },
-    /// The subscription ended on the server side (e.g. its focal record was
-    /// deleted); no further notifications will follow.
+    /// The subscription ended on the server side (its focal record was
+    /// deleted, or its re-evaluation failed); no further notifications will
+    /// follow.
     Cancelled {
         /// Human-readable explanation, forwarded verbatim to the client.
         reason: String,
@@ -239,6 +244,17 @@ impl Subscription {
         let state = lock_or_recover(&self.state);
         (Arc::clone(&state.result), state.version)
     }
+
+    /// Queues one event for this subscription on its mailbox.
+    fn notify(&self, version: u64, kind: NotifyKind) {
+        self.mailbox.push(NotifyEvent {
+            subscription: self.id,
+            dataset: self.dataset.clone(),
+            focal: self.focal,
+            version,
+            kind,
+        });
+    }
 }
 
 /// Counter snapshot exported through the `metrics` verb.
@@ -254,8 +270,9 @@ pub struct SubscriptionStats {
     pub unaffected_skips: u64,
     /// Deltas resolved by an arithmetic rank shift (no enumeration either).
     pub partial_repairs: u64,
-    /// Full re-evaluations performed because a delta's half-space could
-    /// cross a resident region (or a delete could promote an outside cell).
+    /// Re-evaluations requested because a delta's half-space could cross a
+    /// resident region (or a delete could promote an outside cell); each is
+    /// one pool query, which co-subscribers may answer from the cache.
     pub full_reevals: u64,
 }
 
@@ -284,18 +301,15 @@ impl SubscriptionBook {
         Arc::clone(datasets.entry(name.to_string()).or_default())
     }
 
-    /// Creates a subscription holding `result` (exact at `version`).  The
-    /// caller must push it into the dataset's list while still holding the
-    /// lock it evaluated under.
-    #[allow(clippy::too_many_arguments)]
+    /// Creates a subscription to `focal` at `tau` holding `answer`, the
+    /// answer to its initial query.  The caller must push it into the
+    /// dataset's list while still holding the lock it queried under.
     pub fn create(
         &self,
         dataset: &str,
         focal: RecordId,
-        algorithm: Algorithm,
         tau: usize,
-        result: Arc<MaxRankResult>,
-        version: u64,
+        answer: QueryAnswer,
         mailbox: Arc<NotifyMailbox>,
     ) -> Arc<Subscription> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed) + 1;
@@ -304,9 +318,12 @@ impl SubscriptionBook {
             id,
             dataset: dataset.to_string(),
             focal,
-            algorithm,
+            algorithm: answer.algorithm,
             tau,
-            state: Mutex::new(SubscriptionState { result, version }),
+            state: Mutex::new(SubscriptionState {
+                result: answer.result,
+                version: answer.version,
+            }),
             mailbox,
         })
     }
@@ -341,24 +358,25 @@ impl SubscriptionBook {
     }
 
     /// Maintains every subscription in `subs` across one applied update
-    /// batch.  `entry` is the post-apply snapshot and `version` its version.
-    /// The caller holds the dataset's subscription lock (the same one it
-    /// held across the registry apply).
+    /// batch.  `entry` is the post-apply snapshot.  The caller holds the
+    /// dataset's subscription lock (the same one it held across the registry
+    /// apply), and `reevaluate` queries one subscription at that snapshot.
     ///
     /// Per subscription: deltas are triaged in batch order against the
     /// evolving resident result; the first delta that requires enumeration
-    /// subsumes the rest of the batch in a single re-evaluation.  Changed
-    /// results are pushed to the owning mailbox; an unaffected batch only
-    /// moves the version stamp and pushes nothing.  Subscriptions whose
-    /// focal record the batch deleted are cancelled (with a final
-    /// cancellation event) and removed.  Returns the subscribers' mailboxes,
-    /// for the caller to flush once it has released the lock.
+    /// subsumes the rest of the batch in a single call to `reevaluate`.
+    /// Changed results are pushed to the owning mailbox; an unaffected batch
+    /// only moves the version stamp and pushes nothing.  Subscriptions whose
+    /// focal record the batch deleted, or whose re-evaluation failed, are
+    /// cancelled (with a final cancellation event) and removed.  Returns the
+    /// subscribers' mailboxes, for the caller to flush once it has released
+    /// the lock.
     pub fn triage_batch(
         &self,
         subs: &mut Vec<Arc<Subscription>>,
         entry: &DatasetEntry,
         updates: &[Update],
-        version: u64,
+        reevaluate: impl Fn(&Subscription) -> Result<QueryAnswer, ServiceError>,
     ) -> Vec<Arc<NotifyMailbox>> {
         let mut mailboxes: Vec<Arc<NotifyMailbox>> =
             subs.iter().map(|sub| Arc::clone(&sub.mailbox)).collect();
@@ -366,38 +384,35 @@ impl SubscriptionBook {
         mailboxes.dedup_by(|a, b| Arc::ptr_eq(a, b));
         let mut cancelled = 0usize;
         subs.retain(|sub| {
-            if !entry.data().is_live(sub.focal) {
-                sub.mailbox.push(NotifyEvent {
-                    subscription: sub.id,
-                    dataset: sub.dataset.clone(),
-                    focal: sub.focal,
-                    version,
-                    kind: NotifyKind::Cancelled {
-                        reason: format!("focal {} was deleted", sub.focal),
-                    },
-                });
-                cancelled += 1;
-                return false;
-            }
-            self.maintain_one(sub, entry, updates, version);
-            true
+            let outcome = if entry.data().is_live(sub.focal) {
+                self.maintain_one(sub, entry, updates, &reevaluate)
+            } else {
+                Err(format!("focal {} was deleted", sub.focal))
+            };
+            let Err(reason) = outcome else { return true };
+            sub.notify(entry.version(), NotifyKind::Cancelled { reason });
+            cancelled += 1;
+            false
         });
         self.active.fetch_sub(cancelled as u64, Ordering::Relaxed);
         mailboxes
     }
 
+    /// Triages the batch for one live subscription.  A failed re-evaluation
+    /// leaves the result and its stamp untouched and returns the reason to
+    /// cancel.
     fn maintain_one(
         &self,
-        sub: &Arc<Subscription>,
+        sub: &Subscription,
         entry: &DatasetEntry,
         updates: &[Update],
-        version: u64,
-    ) {
+        reevaluate: impl Fn(&Subscription) -> Result<QueryAnswer, ServiceError>,
+    ) -> Result<(), String> {
+        let version = entry.version();
         let focal_row = entry.data().record(sub.focal);
         let mut state = lock_or_recover(&sub.state);
         let mut result = Arc::clone(&state.result);
         let mut changed = false;
-        let mut reenumerate = false;
         for update in updates {
             self.deltas_triaged.fetch_add(1, Ordering::Relaxed);
             let verdict = match update {
@@ -419,36 +434,22 @@ impl SubscriptionBook {
                     // One evaluation covers this delta and whatever follows
                     // in the batch; stop classifying.
                     self.full_reevals.fetch_add(1, Ordering::Relaxed);
-                    reenumerate = true;
+                    let answer =
+                        reevaluate(sub).map_err(|err| format!("re-evaluation failed: {err}"))?;
+                    debug_assert_eq!(answer.version, version);
+                    result = answer.result;
+                    changed = true;
                     break;
                 }
             }
         }
-        if reenumerate {
-            let config = MaxRankConfig {
-                tau: sub.tau,
-                algorithm: sub.algorithm,
-                ..MaxRankConfig::new()
-            };
-            result = Arc::new(
-                MaxRankQuery::new(entry.data(), entry.tree()).evaluate(sub.focal, &config),
-            );
-            changed = true;
-        }
         state.version = version;
         if changed {
             state.result = Arc::clone(&result);
-            sub.mailbox.push(NotifyEvent {
-                subscription: sub.id,
-                dataset: sub.dataset.clone(),
-                focal: sub.focal,
-                version,
-                kind: NotifyKind::Changed {
-                    result,
-                    algorithm: sub.algorithm,
-                },
-            });
+            let algorithm = sub.algorithm;
+            sub.notify(version, NotifyKind::Changed { result, algorithm });
         }
+        Ok(())
     }
 
     /// Counter snapshot.

@@ -18,6 +18,11 @@
 //!    that wrongly certified a crossing delta as unaffected would keep a
 //!    stale result resident and fail here even though no NOTIFY fired.
 //!
+//! Some subscriptions repeat a live one's (focal, algorithm, τ).  Such
+//! co-subscribers share one evaluation through the result cache, so the
+//! checks above also cover results that reach several subscribers as one
+//! cached `Arc`.
+//!
 //! A directed companion test pins the triage counters down: batches of
 //! dominated / dominating deltas must resolve entirely through
 //! `unaffected_skips` and `partial_repairs` (the resident `Arc` is
@@ -33,23 +38,30 @@ use mrq_service::{
     DatasetRegistry, MrqService, NotifyKind, NotifyMailbox, ServiceConfig, Subscription,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-/// Registers a subscription on a uniformly chosen live focal and checks the
-/// acknowledged resident result against a fresh rebuild.
+/// Registers a subscription on a uniformly chosen live focal, or (with
+/// probability 0.3) as a co-subscriber of a live subscription, and checks
+/// the acknowledged resident result against a fresh rebuild.
 fn subscribe_random(
     service: &MrqService,
     mirror: &Dataset,
     algorithms: &[Algorithm],
     mailbox: &Arc<NotifyMailbox>,
     rng: &mut StdRng,
-    live_subs: &mut HashMap<u64, Arc<Subscription>>,
+    live_subs: &mut BTreeMap<u64, Arc<Subscription>>,
 ) {
-    let live: Vec<u32> = mirror.iter().map(|(id, _)| id).collect();
-    let focal = live[rng.gen_range(0..live.len())];
-    let algorithm = algorithms[rng.gen_range(0..algorithms.len())];
-    let tau = rng.gen_range(0..2usize);
+    let ids: Vec<u64> = live_subs.keys().copied().collect();
+    let (focal, algorithm, tau) = if !ids.is_empty() && rng.gen_bool(0.3) {
+        let twin = &live_subs[&ids[rng.gen_range(0..ids.len())]];
+        (twin.focal(), twin.algorithm(), twin.tau())
+    } else {
+        let live: Vec<u32> = mirror.iter().map(|(id, _)| id).collect();
+        let focal = live[rng.gen_range(0..live.len())];
+        let algorithm = algorithms[rng.gen_range(0..algorithms.len())];
+        (focal, algorithm, rng.gen_range(0..2usize))
+    };
     let sub = service
         .subscribe("dyn", focal, algorithm, tau, Arc::clone(mailbox))
         .expect("subscribing to a live focal succeeds");
@@ -87,7 +99,11 @@ fn run_script(d: usize, dist: Distribution, seed: u64) {
         &[Algorithm::BasicApproach, Algorithm::AdvancedApproach]
     };
     let mailbox = Arc::new(NotifyMailbox::new());
-    let mut live_subs: HashMap<u64, Arc<Subscription>> = HashMap::new();
+    // Ordered, so the script is the same on every run of a seed.
+    let mut live_subs: BTreeMap<u64, Arc<Subscription>> = BTreeMap::new();
+    // Changed events whose result is the same `Arc` as an earlier event of
+    // the batch: co-subscribers served from the cache.
+    let mut shared_results = 0usize;
     for _ in 0..4 {
         subscribe_random(
             &service,
@@ -124,10 +140,15 @@ fn run_script(d: usize, dist: Distribution, seed: u64) {
             let version = mirror.version();
 
             // 1. Every pushed event is exact at the version it carries.
+            let mut changed = Vec::new();
             for event in mailbox.drain() {
                 assert_eq!(event.version, version, "events are pushed in-batch");
                 match &event.kind {
                     NotifyKind::Changed { result, .. } => {
+                        if changed.iter().any(|other| Arc::ptr_eq(other, result)) {
+                            shared_results += 1;
+                        }
+                        changed.push(Arc::clone(result));
                         let sub = &live_subs[&event.subscription];
                         let fresh = fresh_eval(&mirror, event.focal, sub.algorithm(), sub.tau());
                         assert_eq!(
@@ -183,6 +204,10 @@ fn run_script(d: usize, dist: Distribution, seed: u64) {
         stats.deltas_triaged,
         stats.unaffected_skips + stats.partial_repairs + stats.full_reevals,
         "every examined delta lands in exactly one triage bucket"
+    );
+    assert!(
+        shared_results > 0,
+        "no co-subscriber received a cache-shared result"
     );
     service.shutdown();
 }
