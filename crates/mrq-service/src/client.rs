@@ -3,11 +3,11 @@
 
 use crate::metrics::MetricsSnapshot;
 use crate::protocol::json::Json;
-use crate::protocol::{write_frame, Request, MAX_FRAME_BYTES, MAX_HEADER_BYTES};
+use crate::protocol::{read_frame, write_frame, DeadlineStream, Request};
 use mrq_core::Algorithm;
 use mrq_data::RecordId;
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::{Duration, Instant};
 
@@ -187,19 +187,13 @@ pub enum Notification {
     },
 }
 
-/// Poll granularity of deadline-bounded reads ([`Client::wait_notify`]).
-const CLIENT_POLL: Duration = Duration::from_millis(100);
-
 /// A blocking protocol client over one TCP connection.
 #[derive(Debug)]
 pub struct Client {
-    reader: BufReader<TcpStream>,
+    reader: BufReader<DeadlineStream>,
     writer: TcpStream,
     /// The peer address, kept for reconnects under a [`RetryPolicy`].
     addr: SocketAddr,
-    /// Partial frame-header bytes surviving a read timeout, so a deadline
-    /// expiring mid-prefix never corrupts the stream position.
-    header: Vec<u8>,
     /// `NOTIFY` frames that arrived while waiting for a response, in order.
     pending: VecDeque<Notification>,
     /// Retry behaviour; `None` (the default) fails fast on every error.
@@ -219,10 +213,9 @@ impl Client {
         let addr = stream.peer_addr()?;
         let writer = stream.try_clone()?;
         Ok(Client {
-            reader: BufReader::new(stream),
+            reader: Self::reader(stream),
             writer,
             addr,
-            header: Vec::new(),
             pending: VecDeque::new(),
             retry: None,
             jitter: 0,
@@ -258,10 +251,16 @@ impl Client {
         let stream = TcpStream::connect(self.addr)?;
         stream.set_nodelay(true)?;
         self.writer = stream.try_clone()?;
-        self.reader = BufReader::new(stream);
-        self.header.clear();
+        self.reader = Self::reader(stream);
         self.pending.clear();
         Ok(())
+    }
+
+    fn reader(stream: TcpStream) -> BufReader<DeadlineStream> {
+        BufReader::new(DeadlineStream {
+            stream,
+            deadline: None,
+        })
     }
 
     /// Next value of the deterministic jitter stream.
@@ -341,56 +340,23 @@ impl Client {
     /// is always read to completion (the server writes frames promptly and
     /// atomically, so this never blocks long).
     fn poll_frame(&mut self, deadline: Option<Instant>) -> Result<Option<String>, ClientError> {
-        while self.header.last() != Some(&b'\n') {
-            if self.header.len() >= MAX_HEADER_BYTES {
-                return Err(ClientError::Protocol("frame length prefix too long".into()));
-            }
-            let timeout = match deadline {
-                // Once the prefix started, finish the frame regardless.
-                _ if !self.header.is_empty() => None,
-                None => None,
-                Some(deadline) => {
-                    let remaining = deadline.saturating_duration_since(Instant::now());
-                    if remaining.is_zero() {
-                        return Ok(None);
-                    }
-                    Some(remaining.min(CLIENT_POLL))
-                }
+        self.reader.get_mut().deadline = deadline;
+        let started = self.reader.fill_buf().map(|_| ());
+        self.reader.get_mut().deadline = None;
+        if let Err(e) = started {
+            return match e.kind() {
+                ErrorKind::TimedOut => Ok(None),
+                _ => Err(e.into()),
             };
-            self.reader.get_ref().set_read_timeout(timeout)?;
-            let budget = (MAX_HEADER_BYTES - self.header.len()) as u64;
-            match (&mut self.reader)
-                .take(budget)
-                .read_until(b'\n', &mut self.header)
-            {
-                Ok(0) => return Err(ClientError::Protocol("server closed the connection".into())),
-                Ok(_) => {} // loop re-checks for the delimiter
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                    ) => {} // loop re-checks the deadline
-                Err(e) => return Err(e.into()),
+        }
+        match read_frame(&mut self.reader) {
+            Ok(Some(payload)) => Ok(Some(payload)),
+            Ok(None) => Err(ClientError::Protocol("server closed the connection".into())),
+            Err(e) if e.kind() == ErrorKind::InvalidData => {
+                Err(ClientError::Protocol(e.to_string()))
             }
+            Err(e) => Err(e.into()),
         }
-        self.reader.get_ref().set_read_timeout(None)?;
-        let text = std::str::from_utf8(&self.header)
-            .map_err(|_| ClientError::Protocol("frame length prefix is not UTF-8".into()))?
-            .trim();
-        let len: usize = text
-            .parse()
-            .map_err(|_| ClientError::Protocol(format!("bad frame length prefix '{text}'")))?;
-        if len > MAX_FRAME_BYTES {
-            return Err(ClientError::Protocol(format!(
-                "frame of {len} bytes exceeds limit"
-            )));
-        }
-        self.header.clear();
-        let mut payload = vec![0u8; len];
-        self.reader.read_exact(&mut payload)?;
-        String::from_utf8(payload)
-            .map(Some)
-            .map_err(|_| ClientError::Protocol("frame payload is not UTF-8".into()))
     }
 
     fn roundtrip(&mut self, request: &Request) -> Result<Json, ClientError> {
@@ -736,6 +702,7 @@ mod tests {
     use crate::registry::{DatasetRegistry, DatasetSpec};
     use crate::server::Server;
     use crate::service::{MrqService, ServiceConfig};
+    use std::io::Write;
     use std::sync::Arc;
 
     fn demo_server() -> Server {
@@ -953,6 +920,52 @@ mod tests {
             None
         );
         server.shutdown();
+    }
+
+    #[test]
+    fn wait_notify_deadline_covers_only_the_start_of_a_frame() {
+        // A raw listener stands in for the server, to control the timing of
+        // every byte.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut peer, _) = listener.accept().unwrap();
+
+        // Silence past the deadline: no frame.
+        let start = Instant::now();
+        let got = client.wait_notify(Some(Duration::from_millis(50))).unwrap();
+        assert_eq!(got, None);
+        assert!(
+            start.elapsed() < Duration::from_millis(180),
+            "wait_notify overran its deadline: {:?}",
+            start.elapsed()
+        );
+
+        // A frame that starts inside the deadline and ends after it comes
+        // back whole.
+        let payload = "{\"notify\":true,\"cancelled\":true,\"subscription\":3,\
+                       \"dataset\":\"demo\",\"focal\":5,\"version\":7,\"reason\":\"gone\"}";
+        let sender = std::thread::spawn(move || {
+            let (head, tail) = payload.split_at(10);
+            write!(peer, "{}\n{head}", payload.len()).unwrap();
+            std::thread::sleep(Duration::from_millis(150));
+            peer.write_all(tail.as_bytes()).unwrap();
+            peer
+        });
+        let got = client
+            .wait_notify(Some(Duration::from_millis(250)))
+            .unwrap()
+            .expect("a frame that started in time");
+        assert_eq!(
+            got,
+            Notification::Cancelled {
+                subscription: 3,
+                dataset: "demo".into(),
+                focal: 5,
+                version: 7,
+                reason: "gone".into(),
+            }
+        );
+        drop(sender.join().unwrap());
     }
 
     #[test]

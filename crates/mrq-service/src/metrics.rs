@@ -24,15 +24,16 @@
 //!
 //! [text exposition format]: https://prometheus.io/docs/instrumenting/exposition_formats/
 
+use crate::protocol::DeadlineStream;
 use crate::querystats::DatasetQueryStats;
 use crate::service::{MrqService, ServiceStats};
 use crate::sync::lock_or_recover;
 use std::fmt::Write as _;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The `Content-Type` of the exposition format.
 pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8";
@@ -507,10 +508,11 @@ fn parse_sample(line: &str) -> Result<(&str, Option<String>, u64), String> {
     Ok((name, Some(dataset), value))
 }
 
-/// How often a blocked scrape read re-checks the shutdown flag, and the
-/// budget an individual scrape gets to deliver its request head.
-const SCRAPE_POLL: Duration = Duration::from_millis(200);
-const SCRAPE_READ_TICKS: u32 = 10;
+/// The budget a scrape gets to deliver its whole request head.
+const SCRAPE_BUDGET: Duration = Duration::from_secs(2);
+
+/// The longest request line or header line a scrape may send.
+const MAX_HEAD_LINE: u64 = 8192;
 
 /// A minimal HTTP listener serving `GET /metrics` scrapes for one service.
 ///
@@ -521,6 +523,8 @@ const SCRAPE_READ_TICKS: u32 = 10;
 pub struct MetricsServer {
     addr: SocketAddr,
     flag: Arc<AtomicBool>,
+    /// The scrape being served, so shutdown can cut a stalled one.
+    scrape: Arc<Mutex<Option<TcpStream>>>,
     accept: Mutex<Option<std::thread::JoinHandle<()>>>,
 }
 
@@ -533,27 +537,41 @@ impl MetricsServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let flag = Arc::new(AtomicBool::new(false));
+        let scrape = Arc::new(Mutex::new(None));
         let accept = {
             let flag = Arc::clone(&flag);
+            let scrape = Arc::clone(&scrape);
             std::thread::Builder::new()
                 .name("mrq-metrics".into())
                 .spawn(move || {
                     for stream in listener.incoming() {
-                        if flag.load(Ordering::SeqCst) {
-                            break;
-                        }
                         let Ok(stream) = stream else {
+                            if flag.load(Ordering::SeqCst) {
+                                break;
+                            }
                             std::thread::sleep(Duration::from_millis(50));
                             continue;
                         };
+                        // The flag is read under the slot's lock, so a
+                        // shutdown either stops the loop here or finds the
+                        // scrape in the slot and cuts it.
+                        {
+                            let mut slot = lock_or_recover(&scrape);
+                            if flag.load(Ordering::SeqCst) {
+                                break;
+                            }
+                            *slot = stream.try_clone().ok();
+                        }
                         // One scrape at a time: render + write, then close.
-                        let _ = serve_scrape(stream, &service, &flag);
+                        let _ = serve_scrape(stream, &service);
+                        *lock_or_recover(&scrape) = None;
                     }
                 })?
         };
         Ok(MetricsServer {
             addr,
             flag,
+            scrape,
             accept: Mutex::new(Some(accept)),
         })
     }
@@ -563,9 +581,13 @@ impl MetricsServer {
         self.addr
     }
 
-    /// Stops the listener and joins the accept thread.  Idempotent.
+    /// Stops the listener, cuts the scrape in flight and joins the accept
+    /// thread.  Idempotent.
     pub fn shutdown(&self) {
         if !self.flag.swap(true, Ordering::SeqCst) {
+            if let Some(stream) = lock_or_recover(&self.scrape).as_ref() {
+                let _ = stream.shutdown(Shutdown::Both);
+            }
             // Poke the accept loop awake so it observes the flag.
             let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         }
@@ -581,52 +603,31 @@ impl Drop for MetricsServer {
     }
 }
 
+/// Reads one line of a request head, `None` at EOF or past
+/// [`MAX_HEAD_LINE`] bytes.
+fn read_head_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> {
+    let mut line = String::new();
+    reader.take(MAX_HEAD_LINE).read_line(&mut line)?;
+    Ok(line.ends_with('\n').then_some(line))
+}
+
 /// Answers one HTTP exchange: reads the request head, writes one response,
-/// closes.  Malformed or slow requests are dropped without an answer.
-fn serve_scrape(
-    stream: TcpStream,
-    service: &Arc<MrqService>,
-    flag: &AtomicBool,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(SCRAPE_POLL))?;
+/// closes.  Malformed, oversized or slow requests are dropped without an
+/// answer.
+fn serve_scrape(stream: TcpStream, service: &Arc<MrqService>) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(stream);
-    let mut request_line = String::new();
-    let mut ticks = 0;
-    // The request line may trickle in; keep appending across timeouts with
-    // a bounded budget so a stuck peer cannot pin the accept thread.
-    while !request_line.ends_with('\n') {
-        match reader.read_line(&mut request_line) {
-            Ok(0) => return Ok(()),
-            Ok(_) => {}
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                ticks += 1;
-                if ticks >= SCRAPE_READ_TICKS || flag.load(Ordering::SeqCst) {
-                    return Ok(());
-                }
-            }
-            Err(e) => return Err(e),
-        }
-        if request_line.len() > 8192 {
-            return Ok(());
-        }
-    }
+    let mut reader = BufReader::new(DeadlineStream {
+        stream,
+        deadline: Some(Instant::now() + SCRAPE_BUDGET),
+    });
+    let Some(request_line) = read_head_line(&mut reader)? else {
+        return Ok(());
+    };
     // Drain the header block (best effort — `Connection: close` semantics).
-    let mut line = String::new();
-    loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => break,
-            Ok(_) if line == "\r\n" || line == "\n" => break,
-            Ok(_) if line.len() > 8192 => return Ok(()),
-            Ok(_) => {}
-            Err(_) => break,
+    while let Ok(Some(line)) = read_head_line(&mut reader) {
+        if line == "\r\n" || line == "\n" {
+            break;
         }
     }
     let mut parts = request_line.split_whitespace();
@@ -888,6 +889,50 @@ mod tests {
         server.shutdown();
         // Idempotent.
         server.shutdown();
+    }
+
+    #[test]
+    fn endless_request_line_is_cut_not_buffered() {
+        // A request line that never ends must be dropped at the line cap,
+        // not buffered for as long as the peer keeps sending.
+        const CAP: usize = 64 << 20;
+        let server = MetricsServer::start(demo_service(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let chunk = vec![b'a'; 64 << 10];
+        let mut sent = 0;
+        let err = loop {
+            assert!(sent < CAP, "the server buffered {sent} bytes of one line");
+            match stream.write_all(&chunk) {
+                Ok(()) => sent += chunk.len(),
+                Err(e) => break e,
+            }
+        };
+        assert!(
+            !matches!(
+                err.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ),
+            "the server stalled instead of closing: {err}"
+        );
+        server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_does_not_wait_for_a_stalled_scrape() {
+        let server = MetricsServer::start(demo_service(), "127.0.0.1:0").unwrap();
+        let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.write_all(b"GET /met").unwrap();
+        std::thread::sleep(Duration::from_millis(50));
+        let start = Instant::now();
+        server.shutdown();
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "shutdown waited {:?} on the stalled scrape",
+            start.elapsed()
+        );
     }
 
     #[test]

@@ -61,7 +61,9 @@ use crate::subscriptions::{NotifyEvent, NotifyKind, Subscription};
 use json::Json;
 use mrq_core::{Algorithm, MaxRankResult};
 use mrq_data::{RecordId, Update};
-use std::io::{BufRead, Read, Write};
+use std::io::{BufRead, ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::time::Instant;
 
 /// Maximum accepted payload size (defends the server against bogus prefixes).
 pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
@@ -80,6 +82,11 @@ pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF before any byte of a frame.
+///
+/// This is the one frame decoder: the server, the client and the tests all
+/// read through it.  A malformed frame is `InvalidData`, a stream that ends
+/// inside a frame is `UnexpectedEof`; over a socket read with a deadline,
+/// an expired deadline surfaces as `TimedOut`.
 pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
     let mut header = Vec::new();
     r.by_ref()
@@ -88,8 +95,12 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
     if header.is_empty() {
         return Ok(None);
     }
-    if header.last() != Some(&b'\n') && header.len() >= MAX_HEADER_BYTES {
-        return Err(bad_data("frame length prefix too long"));
+    if header.last() != Some(&b'\n') {
+        return Err(if header.len() >= MAX_HEADER_BYTES {
+            bad_data("frame length prefix too long")
+        } else {
+            truncated("truncated frame header")
+        });
     }
     let text = std::str::from_utf8(&header)
         .map_err(|_| bad_data("frame length prefix is not UTF-8"))?
@@ -101,14 +112,54 @@ pub fn read_frame(r: &mut impl BufRead) -> std::io::Result<Option<String>> {
         return Err(bad_data(&format!("frame of {len} bytes exceeds limit")));
     }
     let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    r.read_exact(&mut payload).map_err(|e| match e.kind() {
+        ErrorKind::UnexpectedEof => truncated("truncated frame payload"),
+        _ => e,
+    })?;
     String::from_utf8(payload)
         .map(Some)
         .map_err(|_| bad_data("frame payload is not UTF-8"))
 }
 
 fn bad_data(msg: &str) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+    std::io::Error::new(ErrorKind::InvalidData, msg)
+}
+
+fn truncated(msg: &str) -> std::io::Error {
+    std::io::Error::new(ErrorKind::UnexpectedEof, msg)
+}
+
+/// A socket whose reads share one deadline: each `read` arms the socket's
+/// read timeout with whatever time is left, so the deadline bounds the
+/// whole sequence of reads rather than each one.  Once it has passed, a
+/// read fails with `TimedOut` without touching the socket.  `None` blocks
+/// without limit.  Behind a `BufReader`, reads the buffer can serve never
+/// reach the socket at all.
+#[derive(Debug)]
+pub(crate) struct DeadlineStream {
+    pub(crate) stream: TcpStream,
+    pub(crate) deadline: Option<Instant>,
+}
+
+impl Read for DeadlineStream {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let timeout = match self.deadline {
+            None => None,
+            Some(deadline) => {
+                let left = deadline.saturating_duration_since(Instant::now());
+                if left.is_zero() {
+                    return Err(ErrorKind::TimedOut.into());
+                }
+                Some(left)
+            }
+        };
+        self.stream.set_read_timeout(timeout)?;
+        // An expired socket timeout reads as `WouldBlock` on some platforms.
+        self.stream.read(buf).map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock => ErrorKind::TimedOut.into(),
+            _ => e,
+        })
+    }
 }
 
 /// A parsed client request.

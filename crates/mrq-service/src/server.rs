@@ -20,14 +20,15 @@
 
 use crate::error::ServiceError;
 use crate::protocol::{
-    self, bye_payload, error_payload, list_payload, metrics_payload, pong_payload, query_payload,
-    subscribed_payload, unsubscribed_payload, update_batch, update_payload, write_frame, Request,
+    bye_payload, error_payload, list_payload, metrics_payload, pong_payload, query_payload,
+    read_frame, subscribed_payload, unsubscribed_payload, update_batch, update_payload,
+    write_frame, DeadlineStream, Request,
 };
 use crate::service::{MrqService, QueryRequest};
 use crate::subscriptions::{NotifyMailbox, WRITE_STALL_TIMEOUT};
 use crate::sync::lock_or_recover;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Read};
+use std::io::{BufRead, BufReader, ErrorKind};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -301,23 +302,35 @@ fn serve_frames(
     mailbox: &Arc<NotifyMailbox>,
     config: ServerConfig,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(stream);
+    let mut reader = BufReader::new(DeadlineStream {
+        stream,
+        deadline: None,
+    });
     loop {
-        let payload = match read_request_frame(&mut reader, config.idle_timeout)? {
-            FrameRead::Frame(payload) => payload,
-            FrameRead::Eof => return Ok(()),
-            FrameRead::IdleExpired => {
+        // Block without a deadline until a frame's first byte arrives, so an
+        // idle connection (a subscriber waiting for pushes) is never reaped;
+        // from then on the whole frame, header and payload, must complete
+        // within `idle_timeout`.
+        reader.get_mut().deadline = None;
+        reader.fill_buf()?;
+        reader.get_mut().deadline = config.idle_timeout.map(|limit| Instant::now() + limit);
+        let payload = match read_frame(&mut reader) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return Ok(()),
+            Err(e) if e.kind() == ErrorKind::TimedOut => {
                 // Slow-loris defence: the peer held a partial frame past the
                 // idle timeout.  Tell it why (retryable — a healthy client
                 // may simply reconnect and resend) and cut the connection.
                 service.reliability().count_idle_disconnect();
                 return mailbox.finish_exchange(&error_payload(&ServiceError::IdleTimeout));
             }
-            FrameRead::Malformed(msg) => {
+            Err(e) if matches!(e.kind(), ErrorKind::InvalidData | ErrorKind::UnexpectedEof) => {
                 // Framing is broken: report and drop the connection (the
                 // stream position is no longer trustworthy).
-                return mailbox.finish_exchange(&error_payload(&ServiceError::BadRequest(msg)));
+                let err = ServiceError::BadRequest(e.to_string());
+                return mailbox.finish_exchange(&error_payload(&err));
             }
+            Err(e) => return Err(e),
         };
         mailbox.begin_exchange();
         let request = Request::parse(&payload);
@@ -434,112 +447,11 @@ fn serve_frames(
     }
 }
 
-enum FrameRead {
-    Frame(String),
-    Eof,
-    /// A partial frame sat unfinished past [`ServerConfig::idle_timeout`].
-    IdleExpired,
-    Malformed(String),
-}
-
-fn is_timeout(err: &std::io::Error) -> bool {
-    matches!(
-        err.kind(),
-        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-    )
-}
-
-/// Like [`protocol::read_frame`], with the slow-loris budget: the read
-/// blocks without a timeout until a frame's first byte arrives, so an idle
-/// connection (a subscriber waiting for pushes) is never expired, but once
-/// it has, the whole frame (header and payload) must complete within
-/// `idle_timeout`, or the read resolves to [`FrameRead::IdleExpired`].
-fn read_request_frame(
-    reader: &mut BufReader<TcpStream>,
-    idle_timeout: Option<Duration>,
-) -> std::io::Result<FrameRead> {
-    if idle_timeout.is_some() {
-        reader.get_ref().set_read_timeout(None)?;
-    }
-    // A bare `read_until` would not return before the header's newline, so
-    // the clock could never start on a partial header.
-    if reader.fill_buf()?.is_empty() {
-        return Ok(FrameRead::Eof);
-    }
-    let deadline = idle_timeout.map(|limit| Instant::now() + limit);
-    // Arms the read timeout with what remains of the budget; `false` once
-    // it is spent.
-    let arm = |reader: &BufReader<TcpStream>| -> std::io::Result<bool> {
-        let Some(deadline) = deadline else {
-            return Ok(true);
-        };
-        let left = deadline.saturating_duration_since(Instant::now());
-        if left.is_zero() {
-            return Ok(false);
-        }
-        reader.get_ref().set_read_timeout(Some(left))?;
-        Ok(true)
-    };
-    // Header: bytes up to '\n'.  The `take` budget caps the header so a peer
-    // streaming bytes with no newline cannot grow the buffer without bound.
-    let mut header = Vec::new();
-    while header.last() != Some(&b'\n') {
-        if header.len() >= protocol::MAX_HEADER_BYTES {
-            return Ok(FrameRead::Malformed("frame length prefix too long".into()));
-        }
-        if !arm(reader)? {
-            return Ok(FrameRead::IdleExpired);
-        }
-        let budget = (protocol::MAX_HEADER_BYTES - header.len()) as u64;
-        match reader.by_ref().take(budget).read_until(b'\n', &mut header) {
-            Ok(0) => return Ok(FrameRead::Malformed("truncated frame header".into())),
-            Ok(_) => {} // loop re-checks for the delimiter and the budget
-            Err(e) if is_timeout(&e) => return Ok(FrameRead::IdleExpired),
-            Err(e) => return Err(e),
-        }
-    }
-    let text = match std::str::from_utf8(&header) {
-        Ok(t) => t.trim(),
-        Err(_) => return Ok(FrameRead::Malformed("frame prefix is not UTF-8".into())),
-    };
-    let len: usize = match text.parse() {
-        Ok(n) => n,
-        Err(_) => {
-            return Ok(FrameRead::Malformed(format!(
-                "bad frame length prefix '{text}'"
-            )))
-        }
-    };
-    if len > protocol::MAX_FRAME_BYTES {
-        return Ok(FrameRead::Malformed(format!(
-            "frame of {len} bytes exceeds limit"
-        )));
-    }
-    let mut payload = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        if !arm(reader)? {
-            return Ok(FrameRead::IdleExpired);
-        }
-        match reader.read(&mut payload[filled..]) {
-            Ok(0) => return Ok(FrameRead::Malformed("truncated frame payload".into())),
-            Ok(n) => filled += n,
-            Err(e) if is_timeout(&e) => return Ok(FrameRead::IdleExpired),
-            Err(e) => return Err(e),
-        }
-    }
-    match String::from_utf8(payload) {
-        Ok(s) => Ok(FrameRead::Frame(s)),
-        Err(_) => Ok(FrameRead::Malformed("frame payload is not UTF-8".into())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::{DatasetRegistry, DatasetSpec};
     use crate::service::ServiceConfig;
-    use protocol::read_frame;
     use std::io::Write;
 
     fn demo_server() -> Server {
@@ -812,6 +724,42 @@ mod tests {
         assert!(reply.contains("\"retryable\":true"), "{reply}");
         assert_eq!(read_frame(&mut reader).unwrap(), None);
         assert_eq!(server.service().stats().reliability.idle_disconnects, 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn trickled_partial_frame_is_cut_at_the_idle_timeout() {
+        // One header byte every 100 ms keeps every single read short, but
+        // the frame as a whole must still complete within the idle timeout.
+        let server = demo_server_with(ServerConfig {
+            idle_timeout: Some(Duration::from_millis(300)),
+            ..ServerConfig::default()
+        });
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let start = Instant::now();
+        let trickle = std::thread::spawn(move || {
+            for _ in 0..40 {
+                if writer.write_all(b"1").is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(100));
+            }
+        });
+        let mut reader = BufReader::new(stream);
+        let reply = read_frame(&mut reader)
+            .unwrap()
+            .expect("idle-timeout frame");
+        assert!(reply.contains("idle timeout"), "{reply}");
+        assert!(
+            start.elapsed() < Duration::from_millis(1500),
+            "the trickle held the connection {:?}",
+            start.elapsed()
+        );
+        trickle.join().unwrap();
         server.shutdown();
     }
 

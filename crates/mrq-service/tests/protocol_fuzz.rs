@@ -10,6 +10,26 @@ use mrq_core::Algorithm;
 use mrq_service::protocol::json::{self, Json};
 use mrq_service::protocol::{read_frame, write_frame, Request};
 use proptest::prelude::*;
+use std::io::{BufReader, Read};
+
+/// A reader that hands out `data` in pieces of the cycled `chunks` sizes.
+struct Trickle<'a> {
+    data: &'a [u8],
+    chunks: &'a [usize],
+    reads: usize,
+}
+
+impl Read for Trickle<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunks[self.reads % self.chunks.len()]
+            .min(buf.len())
+            .min(self.data.len());
+        self.reads += 1;
+        buf[..n].copy_from_slice(&self.data[..n]);
+        self.data = &self.data[n..];
+        Ok(n)
+    }
+}
 
 /// Wholly arbitrary bytes (the "line noise" regime).
 fn arbitrary_bytes(max: usize) -> impl Strategy<Value = Vec<u8>> {
@@ -184,6 +204,34 @@ proptest! {
         prop_assert!(read_frame(&mut stream).unwrap().is_none(), "exactly one frame");
     }
 
+    /// A stream that arrives a few bytes per read (as a socket behind a
+    /// `BufReader` delivers it) decodes to exactly the frames and the error
+    /// of the same bytes read from one contiguous buffer.
+    #[test]
+    fn chunked_reads_decode_like_a_contiguous_buffer(
+        payloads in prop::collection::vec(arbitrary_bytes(64), 0..5),
+        tail in arbitrary_bytes(40),
+        chunks in prop::collection::vec(1usize..=7, 1..16),
+        capacity in 1usize..64,
+    ) {
+        let mut wire = Vec::new();
+        for payload in &payloads {
+            write_frame(&mut wire, &String::from_utf8_lossy(payload)).unwrap();
+        }
+        wire.extend_from_slice(&tail);
+        let mut contiguous: &[u8] = &wire;
+        let trickle = Trickle { data: &wire, chunks: &chunks, reads: 0 };
+        let mut chunked = BufReader::with_capacity(capacity, trickle);
+        for _ in 0..=payloads.len() + 1 {
+            let whole = read_frame(&mut contiguous).map_err(|e| (e.kind(), e.to_string()));
+            let pieces = read_frame(&mut chunked).map_err(|e| (e.kind(), e.to_string()));
+            prop_assert_eq!(&pieces, &whole);
+            if !matches!(whole, Ok(Some(_))) {
+                break;
+            }
+        }
+    }
+
     /// Every verb survives encode → parse unchanged — both directly and
     /// through the frame layer.
     #[test]
@@ -262,6 +310,14 @@ fn adversarial_inputs_error_cleanly() {
     // allocate 16 GiB.
     let mut stream: &[u8] = b"17179869184\nx";
     assert!(read_frame(&mut stream).is_err());
+
+    // A length prefix cut off by EOF before its newline is a truncated
+    // frame, not an empty or a short one.
+    for input in [&b"0"[..], b"12"] {
+        let mut stream = input;
+        let err = read_frame(&mut stream).expect_err("truncated header");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{input:?}");
+    }
 
     // Unknown verbs and non-object payloads error without panicking.
     assert!(Request::parse("[1,2,3]").is_err());
