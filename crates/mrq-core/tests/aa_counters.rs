@@ -1,8 +1,10 @@
 //! Pins AA's observable behaviour on the population of the serving
 //! benchmark's `cold_read` workload (IND, n = 1000, d = 3, dataset seed
 //! 2015): for 20 fixed focals and τ ∈ {0, 2}, `k*`, the region count, every
-//! `QueryStats` counter except the timing- and concurrency-dependent
-//! `cpu_time` / `io_reads`, and two digests must equal the recorded table:
+//! `QueryStats` counter except the timing-dependent `cpu_time`, the R\*-tree
+//! page reads (`io_reads`, exact because the page counter is per thread and
+//! every page read of an evaluation stays on its calling thread) and two
+//! digests must equal the recorded table:
 //!
 //! * the **answer** digest hashes each region's order, constraint count and
 //!   listed `outranking` ids, over the regions sorted by those keys, so it
@@ -16,8 +18,8 @@
 //! them.  A change to how a cell is *decided* (which interior point proves
 //! it non-empty) may move the within-leaf counters (`cells_tested`,
 //! `lp_calls`, `witness_hits`, `subtrees_pruned`, `bitstrings_pruned`) and
-//! the witness digest, but never `k*`, the region count, the answer digest
-//! or the other counters.  After an intended behaviour change, re-record the
+//! the witness digest, but never `k*`, the region count, the answer digest,
+//! the page reads or the other counters.  After an intended behaviour change, re-record the
 //! table with
 //! `MRQ_PRINT_PINNED=1 cargo test -p mrq-core --test aa_counters -- --nocapture`.
 
@@ -37,6 +39,7 @@ struct Pinned {
     k_star: usize,
     regions: usize,
     counters: [usize; 10],
+    io_reads: u64,
     answer_digest: u64,
     witness_digest: u64,
 }
@@ -48,46 +51,46 @@ const FOCALS: [u32; 20] = [
 
 #[rustfmt::skip]
 const PINNED: &[Pinned] = &[
-    Pinned { focal: 0, tau: 0, k_star: 44, regions: 2, counters: [9, 110, 5, 77, 9, 0, 0, 0, 0, 0], answer_digest: 8091097608666383722, witness_digest: 963314700264748469 },
-    Pinned { focal: 15, tau: 0, k_star: 503, regions: 13, counters: [257, 521, 21, 95, 65, 0, 0, 0, 0, 0], answer_digest: 9840327539190915764, witness_digest: 15335541688807028800 },
-    Pinned { focal: 30, tau: 0, k_star: 338, regions: 2, counters: [157, 346, 11, 36, 24, 0, 0, 0, 0, 0], answer_digest: 12980326975375861291, witness_digest: 6755381234436616894 },
-    Pinned { focal: 45, tau: 0, k_star: 41, regions: 2, counters: [20, 62, 3, 19, 7, 0, 0, 0, 0, 0], answer_digest: 12729620063099774563, witness_digest: 7116496585877555643 },
-    Pinned { focal: 60, tau: 0, k_star: 767, regions: 1, counters: [541, 385, 13, 17, 12, 0, 0, 0, 0, 0], answer_digest: 3657637693342541427, witness_digest: 10661661964208187460 },
-    Pinned { focal: 75, tau: 0, k_star: 97, regions: 2, counters: [55, 103, 6, 10, 12, 0, 0, 0, 0, 0], answer_digest: 17867215084809301188, witness_digest: 2144150612191543352 },
-    Pinned { focal: 90, tau: 0, k_star: 39, regions: 1, counters: [28, 43, 4, 4, 3, 0, 0, 0, 0, 0], answer_digest: 3213126322315641847, witness_digest: 5917326675993124877 },
-    Pinned { focal: 105, tau: 0, k_star: 281, regions: 3, counters: [110, 371, 12, 76, 29, 0, 0, 0, 0, 0], answer_digest: 4697369777063329799, witness_digest: 16343810034294589611 },
-    Pinned { focal: 120, tau: 0, k_star: 405, regions: 1, counters: [225, 317, 12, 18, 13, 0, 0, 0, 0, 0], answer_digest: 4997020932105062405, witness_digest: 2286123981478689287 },
-    Pinned { focal: 135, tau: 0, k_star: 32, regions: 4, counters: [11, 74, 4, 81, 18, 0, 0, 0, 0, 0], answer_digest: 10869865889180349640, witness_digest: 16386183023076841330 },
-    Pinned { focal: 150, tau: 0, k_star: 56, regions: 3, counters: [22, 87, 6, 35, 18, 0, 0, 0, 0, 0], answer_digest: 13845283918286001221, witness_digest: 15382560858857637781 },
-    Pinned { focal: 165, tau: 0, k_star: 26, regions: 1, counters: [6, 73, 4, 25, 16, 0, 0, 0, 0, 0], answer_digest: 6619496480746924580, witness_digest: 5997383933356871621 },
-    Pinned { focal: 180, tau: 0, k_star: 319, regions: 1, counters: [285, 107, 5, 11, 6, 0, 0, 0, 0, 0], answer_digest: 12032235046636040668, witness_digest: 2651725298301410287 },
-    Pinned { focal: 195, tau: 0, k_star: 101, regions: 1, counters: [39, 155, 6, 56, 32, 0, 0, 0, 0, 0], answer_digest: 12321102637056766927, witness_digest: 18066937652378364056 },
-    Pinned { focal: 210, tau: 0, k_star: 92, regions: 3, counters: [58, 96, 8, 65, 20, 0, 0, 0, 0, 0], answer_digest: 11898709948445868576, witness_digest: 11702354965087745675 },
-    Pinned { focal: 225, tau: 0, k_star: 689, regions: 1, counters: [659, 65, 6, 7, 6, 0, 0, 0, 0, 0], answer_digest: 14189619505449935432, witness_digest: 1799334505583855674 },
-    Pinned { focal: 240, tau: 0, k_star: 83, regions: 1, counters: [59, 58, 6, 6, 5, 0, 0, 0, 0, 0], answer_digest: 10823077538946053887, witness_digest: 17237977626896536941 },
-    Pinned { focal: 255, tau: 0, k_star: 15, regions: 2, counters: [4, 51, 4, 24, 13, 0, 0, 0, 0, 0], answer_digest: 14876594980810654091, witness_digest: 12466048867233315500 },
-    Pinned { focal: 270, tau: 0, k_star: 395, regions: 1, counters: [243, 320, 14, 27, 19, 0, 0, 0, 0, 0], answer_digest: 2541950386197348190, witness_digest: 11992759561539303274 },
-    Pinned { focal: 285, tau: 0, k_star: 348, regions: 2, counters: [134, 416, 14, 33, 29, 0, 0, 0, 0, 0], answer_digest: 17448993264883799593, witness_digest: 10627583521146519330 },
-    Pinned { focal: 0, tau: 2, k_star: 44, regions: 88, counters: [9, 127, 4, 147, 175, 0, 0, 0, 0, 0], answer_digest: 8209540868759745921, witness_digest: 16158674900389239301 },
-    Pinned { focal: 15, tau: 2, k_star: 503, regions: 118, counters: [257, 524, 20, 184, 408, 0, 0, 0, 0, 0], answer_digest: 17625932076741064193, witness_digest: 14712807372550656904 },
-    Pinned { focal: 30, tau: 2, k_star: 338, regions: 19, counters: [157, 371, 10, 68, 165, 0, 0, 0, 0, 0], answer_digest: 9581157693838998392, witness_digest: 13409601865544034177 },
-    Pinned { focal: 45, tau: 2, k_star: 41, regions: 23, counters: [20, 81, 4, 60, 78, 0, 0, 0, 0, 0], answer_digest: 12964309840434212773, witness_digest: 16383875021599655052 },
-    Pinned { focal: 60, tau: 2, k_star: 767, regions: 6, counters: [541, 382, 11, 20, 54, 0, 0, 0, 0, 0], answer_digest: 9161571493679686767, witness_digest: 4846616119478759652 },
-    Pinned { focal: 75, tau: 2, k_star: 97, regions: 10, counters: [55, 108, 6, 20, 51, 0, 0, 0, 0, 0], answer_digest: 1389107809830184162, witness_digest: 9643064191569025990 },
-    Pinned { focal: 90, tau: 2, k_star: 39, regions: 3, counters: [28, 44, 4, 4, 9, 0, 0, 0, 0, 0], answer_digest: 593763460936844195, witness_digest: 13453916036271596082 },
-    Pinned { focal: 105, tau: 2, k_star: 281, regions: 45, counters: [110, 377, 10, 124, 228, 0, 0, 0, 0, 0], answer_digest: 1749825198039833613, witness_digest: 8090679949060022258 },
-    Pinned { focal: 120, tau: 2, k_star: 405, regions: 4, counters: [225, 326, 10, 14, 53, 0, 0, 0, 0, 0], answer_digest: 6926167502081605701, witness_digest: 8215036445924537805 },
-    Pinned { focal: 135, tau: 2, k_star: 32, regions: 50, counters: [11, 92, 4, 129, 214, 0, 0, 0, 0, 0], answer_digest: 5312129544542138552, witness_digest: 8001216221606202790 },
-    Pinned { focal: 150, tau: 2, k_star: 56, regions: 20, counters: [22, 105, 6, 95, 195, 0, 0, 0, 0, 0], answer_digest: 8071725567123297217, witness_digest: 2336234380842152913 },
-    Pinned { focal: 165, tau: 2, k_star: 26, regions: 37, counters: [6, 91, 5, 64, 196, 0, 0, 0, 0, 0], answer_digest: 8038994572365468507, witness_digest: 9838317362180381407 },
-    Pinned { focal: 180, tau: 2, k_star: 319, regions: 4, counters: [285, 111, 4, 12, 18, 0, 0, 0, 0, 0], answer_digest: 9018000789795635933, witness_digest: 5241609888687371472 },
-    Pinned { focal: 195, tau: 2, k_star: 101, regions: 24, counters: [39, 160, 6, 102, 128, 0, 0, 0, 0, 0], answer_digest: 13730816411939497524, witness_digest: 13025419524545401570 },
-    Pinned { focal: 210, tau: 2, k_star: 92, regions: 46, counters: [58, 114, 7, 89, 162, 0, 0, 0, 0, 0], answer_digest: 14441648584750839182, witness_digest: 1643812305162878668 },
-    Pinned { focal: 225, tau: 2, k_star: 689, regions: 5, counters: [659, 47, 5, 6, 20, 0, 0, 0, 0, 0], answer_digest: 1720698512895996503, witness_digest: 12232841992561902195 },
-    Pinned { focal: 240, tau: 2, k_star: 83, regions: 4, counters: [59, 62, 6, 11, 20, 0, 0, 0, 0, 0], answer_digest: 15995613689341077505, witness_digest: 9907374970537213091 },
-    Pinned { focal: 255, tau: 2, k_star: 15, regions: 55, counters: [4, 62, 4, 43, 152, 0, 0, 0, 0, 0], answer_digest: 15596889782427630255, witness_digest: 12949983359729825352 },
-    Pinned { focal: 270, tau: 2, k_star: 395, regions: 4, counters: [243, 320, 13, 52, 86, 0, 0, 0, 0, 0], answer_digest: 14864621449352978581, witness_digest: 9333944967119843669 },
-    Pinned { focal: 285, tau: 2, k_star: 348, regions: 21, counters: [134, 424, 13, 79, 185, 0, 0, 0, 0, 0], answer_digest: 1070426963015891635, witness_digest: 12199199403624400512 },
+    Pinned { focal: 0, tau: 0, k_star: 44, regions: 2, counters: [9, 110, 5, 77, 9, 0, 0, 0, 0, 0], io_reads: 20, answer_digest: 8091097608666383722, witness_digest: 963314700264748469 },
+    Pinned { focal: 15, tau: 0, k_star: 503, regions: 13, counters: [257, 521, 21, 95, 65, 0, 0, 0, 0, 0], io_reads: 30, answer_digest: 9840327539190915764, witness_digest: 15335541688807028800 },
+    Pinned { focal: 30, tau: 0, k_star: 338, regions: 2, counters: [157, 346, 11, 36, 24, 0, 0, 0, 0, 0], io_reads: 25, answer_digest: 12980326975375861291, witness_digest: 6755381234436616894 },
+    Pinned { focal: 45, tau: 0, k_star: 41, regions: 2, counters: [20, 62, 3, 19, 7, 0, 0, 0, 0, 0], io_reads: 20, answer_digest: 12729620063099774563, witness_digest: 7116496585877555643 },
+    Pinned { focal: 60, tau: 0, k_star: 767, regions: 1, counters: [541, 385, 13, 17, 12, 0, 0, 0, 0, 0], io_reads: 32, answer_digest: 3657637693342541427, witness_digest: 10661661964208187460 },
+    Pinned { focal: 75, tau: 0, k_star: 97, regions: 2, counters: [55, 103, 6, 10, 12, 0, 0, 0, 0, 0], io_reads: 22, answer_digest: 17867215084809301188, witness_digest: 2144150612191543352 },
+    Pinned { focal: 90, tau: 0, k_star: 39, regions: 1, counters: [28, 43, 4, 4, 3, 0, 0, 0, 0, 0], io_reads: 24, answer_digest: 3213126322315641847, witness_digest: 5917326675993124877 },
+    Pinned { focal: 105, tau: 0, k_star: 281, regions: 3, counters: [110, 371, 12, 76, 29, 0, 0, 0, 0, 0], io_reads: 23, answer_digest: 4697369777063329799, witness_digest: 16343810034294589611 },
+    Pinned { focal: 120, tau: 0, k_star: 405, regions: 1, counters: [225, 317, 12, 18, 13, 0, 0, 0, 0, 0], io_reads: 31, answer_digest: 4997020932105062405, witness_digest: 2286123981478689287 },
+    Pinned { focal: 135, tau: 0, k_star: 32, regions: 4, counters: [11, 74, 4, 81, 18, 0, 0, 0, 0, 0], io_reads: 16, answer_digest: 10869865889180349640, witness_digest: 16386183023076841330 },
+    Pinned { focal: 150, tau: 0, k_star: 56, regions: 3, counters: [22, 87, 6, 35, 18, 0, 0, 0, 0, 0], io_reads: 20, answer_digest: 13845283918286001221, witness_digest: 15382560858857637781 },
+    Pinned { focal: 165, tau: 0, k_star: 26, regions: 1, counters: [6, 73, 4, 25, 16, 0, 0, 0, 0, 0], io_reads: 17, answer_digest: 6619496480746924580, witness_digest: 5997383933356871621 },
+    Pinned { focal: 180, tau: 0, k_star: 319, regions: 1, counters: [285, 107, 5, 11, 6, 0, 0, 0, 0, 0], io_reads: 24, answer_digest: 12032235046636040668, witness_digest: 2651725298301410287 },
+    Pinned { focal: 195, tau: 0, k_star: 101, regions: 1, counters: [39, 155, 6, 56, 32, 0, 0, 0, 0, 0], io_reads: 22, answer_digest: 12321102637056766927, witness_digest: 18066937652378364056 },
+    Pinned { focal: 210, tau: 0, k_star: 92, regions: 3, counters: [58, 96, 8, 65, 20, 0, 0, 0, 0, 0], io_reads: 21, answer_digest: 11898709948445868576, witness_digest: 11702354965087745675 },
+    Pinned { focal: 225, tau: 0, k_star: 689, regions: 1, counters: [659, 65, 6, 7, 6, 0, 0, 0, 0, 0], io_reads: 31, answer_digest: 14189619505449935432, witness_digest: 1799334505583855674 },
+    Pinned { focal: 240, tau: 0, k_star: 83, regions: 1, counters: [59, 58, 6, 6, 5, 0, 0, 0, 0, 0], io_reads: 22, answer_digest: 10823077538946053887, witness_digest: 17237977626896536941 },
+    Pinned { focal: 255, tau: 0, k_star: 15, regions: 2, counters: [4, 51, 4, 24, 13, 0, 0, 0, 0, 0], io_reads: 20, answer_digest: 14876594980810654091, witness_digest: 12466048867233315500 },
+    Pinned { focal: 270, tau: 0, k_star: 395, regions: 1, counters: [243, 320, 14, 27, 19, 0, 0, 0, 0, 0], io_reads: 26, answer_digest: 2541950386197348190, witness_digest: 11992759561539303274 },
+    Pinned { focal: 285, tau: 0, k_star: 348, regions: 2, counters: [134, 416, 14, 33, 29, 0, 0, 0, 0, 0], io_reads: 27, answer_digest: 17448993264883799593, witness_digest: 10627583521146519330 },
+    Pinned { focal: 0, tau: 2, k_star: 44, regions: 88, counters: [9, 127, 4, 147, 175, 0, 0, 0, 0, 0], io_reads: 18, answer_digest: 8209540868759745921, witness_digest: 16158674900389239301 },
+    Pinned { focal: 15, tau: 2, k_star: 503, regions: 118, counters: [257, 524, 20, 184, 408, 0, 0, 0, 0, 0], io_reads: 30, answer_digest: 17625932076741064193, witness_digest: 14712807372550656904 },
+    Pinned { focal: 30, tau: 2, k_star: 338, regions: 19, counters: [157, 371, 10, 68, 165, 0, 0, 0, 0, 0], io_reads: 25, answer_digest: 9581157693838998392, witness_digest: 13409601865544034177 },
+    Pinned { focal: 45, tau: 2, k_star: 41, regions: 23, counters: [20, 81, 4, 60, 78, 0, 0, 0, 0, 0], io_reads: 20, answer_digest: 12964309840434212773, witness_digest: 16383875021599655052 },
+    Pinned { focal: 60, tau: 2, k_star: 767, regions: 6, counters: [541, 382, 11, 20, 54, 0, 0, 0, 0, 0], io_reads: 32, answer_digest: 9161571493679686767, witness_digest: 4846616119478759652 },
+    Pinned { focal: 75, tau: 2, k_star: 97, regions: 10, counters: [55, 108, 6, 20, 51, 0, 0, 0, 0, 0], io_reads: 22, answer_digest: 1389107809830184162, witness_digest: 9643064191569025990 },
+    Pinned { focal: 90, tau: 2, k_star: 39, regions: 3, counters: [28, 44, 4, 4, 9, 0, 0, 0, 0, 0], io_reads: 24, answer_digest: 593763460936844195, witness_digest: 13453916036271596082 },
+    Pinned { focal: 105, tau: 2, k_star: 281, regions: 45, counters: [110, 377, 10, 124, 228, 0, 0, 0, 0, 0], io_reads: 24, answer_digest: 1749825198039833613, witness_digest: 8090679949060022258 },
+    Pinned { focal: 120, tau: 2, k_star: 405, regions: 4, counters: [225, 326, 10, 14, 53, 0, 0, 0, 0, 0], io_reads: 31, answer_digest: 6926167502081605701, witness_digest: 8215036445924537805 },
+    Pinned { focal: 135, tau: 2, k_star: 32, regions: 50, counters: [11, 92, 4, 129, 214, 0, 0, 0, 0, 0], io_reads: 18, answer_digest: 5312129544542138552, witness_digest: 8001216221606202790 },
+    Pinned { focal: 150, tau: 2, k_star: 56, regions: 20, counters: [22, 105, 6, 95, 195, 0, 0, 0, 0, 0], io_reads: 21, answer_digest: 8071725567123297217, witness_digest: 2336234380842152913 },
+    Pinned { focal: 165, tau: 2, k_star: 26, regions: 37, counters: [6, 91, 5, 64, 196, 0, 0, 0, 0, 0], io_reads: 17, answer_digest: 8038994572365468507, witness_digest: 9838317362180381407 },
+    Pinned { focal: 180, tau: 2, k_star: 319, regions: 4, counters: [285, 111, 4, 12, 18, 0, 0, 0, 0, 0], io_reads: 24, answer_digest: 9018000789795635933, witness_digest: 5241609888687371472 },
+    Pinned { focal: 195, tau: 2, k_star: 101, regions: 24, counters: [39, 160, 6, 102, 128, 0, 0, 0, 0, 0], io_reads: 22, answer_digest: 13730816411939497524, witness_digest: 13025419524545401570 },
+    Pinned { focal: 210, tau: 2, k_star: 92, regions: 46, counters: [58, 114, 7, 89, 162, 0, 0, 0, 0, 0], io_reads: 21, answer_digest: 14441648584750839182, witness_digest: 1643812305162878668 },
+    Pinned { focal: 225, tau: 2, k_star: 689, regions: 5, counters: [659, 47, 5, 6, 20, 0, 0, 0, 0, 0], io_reads: 31, answer_digest: 1720698512895996503, witness_digest: 12232841992561902195 },
+    Pinned { focal: 240, tau: 2, k_star: 83, regions: 4, counters: [59, 62, 6, 11, 20, 0, 0, 0, 0, 0], io_reads: 22, answer_digest: 15995613689341077505, witness_digest: 9907374970537213091 },
+    Pinned { focal: 255, tau: 2, k_star: 15, regions: 55, counters: [4, 62, 4, 43, 152, 0, 0, 0, 0, 0], io_reads: 20, answer_digest: 15596889782427630255, witness_digest: 12949983359729825352 },
+    Pinned { focal: 270, tau: 2, k_star: 395, regions: 4, counters: [243, 320, 13, 52, 86, 0, 0, 0, 0, 0], io_reads: 26, answer_digest: 14864621449352978581, witness_digest: 9333944967119843669 },
+    Pinned { focal: 285, tau: 2, k_star: 348, regions: 21, counters: [134, 424, 13, 79, 185, 0, 0, 0, 0, 0], io_reads: 27, answer_digest: 1070426963015891635, witness_digest: 12199199403624400512 },
 ];
 
 /// FNV-1a over a sequence of words.
@@ -157,6 +160,7 @@ fn observe(engine: &MaxRankQuery<'_>, focal: u32, tau: usize) -> Pinned {
             s.bitstrings_pruned,
             s.events_pruned,
         ],
+        io_reads: s.io_reads,
         answer_digest: answer_digest(&res),
         witness_digest: witness_digest(&res),
     }

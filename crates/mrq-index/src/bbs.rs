@@ -19,42 +19,66 @@
 //! Records that dominate or are dominated by the focal record are filtered
 //! out: the structure maintains the skyline of the *incomparable* records
 //! only, which is exactly what AA consumes.
+//!
+//! Nothing is allocated per entry.  A heap item is the entry's key and a
+//! reference to the entry itself, borrowed from the tree the structure
+//! already borrows; the live skyline keeps its points as references into the
+//! tree and, for the dominance scans, once more as one flat array.  The
+//! deferral buckets sit in a vector in step with the live skyline (bucket
+//! `i` belongs to skyline record `i`), so expanding a record `swap_remove`s
+//! the same index from the skyline, the flat points and the buckets, and
+//! keeps the flushed bucket for the next record to join.
+//! [`crate::k_skyband`] walks the tree with the same heap items.
 
 use crate::iostats::record_read;
-use crate::rstar::{Child, RStarTree};
+use crate::rstar::{Child, Entry, RStarTree};
 use mrq_data::RecordId;
 use std::collections::BinaryHeap;
-use std::collections::HashMap;
 
-/// A heap item: either a sub-tree (node) or a record, keyed by the L1 norm of
-/// its upper corner (best possible attribute sum), popped largest first.
-#[derive(Debug, Clone)]
-struct HeapItem {
+/// A heap item of a best-first traversal: an entry (sub-tree or record)
+/// borrowed from the tree, keyed by the L1 norm of its upper corner (best
+/// possible attribute sum), popped largest first.
+#[derive(Clone, Copy)]
+pub(crate) struct HeapItem<'a> {
     key: f64,
-    /// Upper corner of the MBR (the point itself for records).
-    corner: Vec<f64>,
-    /// Lower corner of the MBR (equals `corner` for records).
-    lower: Vec<f64>,
-    child: Child,
+    pub(crate) entry: &'a Entry,
 }
 
-impl PartialEq for HeapItem {
+impl PartialEq for HeapItem<'_> {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl Eq for HeapItem {}
-impl PartialOrd for HeapItem {
+impl Eq for HeapItem<'_> {}
+impl PartialOrd for HeapItem<'_> {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapItem {
+impl Ord for HeapItem<'_> {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key
             .partial_cmp(&other.key)
             .unwrap_or(std::cmp::Ordering::Equal)
     }
+}
+
+/// Reads node `idx` (one page read) and pushes its entries, in node order.
+pub(crate) fn read_node<'a>(tree: &'a RStarTree, idx: usize, heap: &mut BinaryHeap<HeapItem<'a>>) {
+    record_read();
+    for entry in &tree.nodes[idx].entries {
+        heap.push(HeapItem {
+            key: entry.mbr.hi.iter().sum(),
+            entry,
+        });
+    }
+}
+
+/// Focal-record pruning: true when the box `[lo, hi]` holds only dominators
+/// or duplicates of `focal` (`lo ≥ focal`), or only dominees or duplicates
+/// (`hi ≤ focal`), so it contains no record incomparable to it.
+pub(crate) fn only_comparable(lo: &[f64], hi: &[f64], focal: &[f64]) -> bool {
+    lo.iter().zip(focal).all(|(l, p)| l >= p) || hi.iter().zip(focal).all(|(h, p)| h <= p)
 }
 
 /// Incrementally maintained skyline of the records incomparable to a focal
@@ -63,11 +87,17 @@ pub struct IncrementalSkyline<'a> {
     tree: &'a RStarTree,
     focal: Vec<f64>,
     focal_id: Option<RecordId>,
-    heap: BinaryHeap<HeapItem>,
-    /// Live skyline: record id → its point.
-    skyline: Vec<(RecordId, Vec<f64>)>,
-    /// Deferral buckets, keyed by the live skyline record subsuming them.
-    buckets: HashMap<RecordId, Vec<HeapItem>>,
+    heap: BinaryHeap<HeapItem<'a>>,
+    /// Live skyline: record id and its point, borrowed from the tree.
+    skyline: Vec<(RecordId, &'a [f64])>,
+    /// The live skyline's points again, flat with stride `d`, in step with
+    /// `skyline`.
+    points: Vec<f64>,
+    /// Deferral buckets, in step with `skyline`: `buckets[i]` holds the
+    /// entries whose upper corner `skyline[i]` is the first to dominate.
+    buckets: Vec<Vec<HeapItem<'a>>>,
+    /// Flushed (empty) buckets, kept for the next records to join.
+    spare: Vec<Vec<HeapItem<'a>>>,
     /// Records that have been expanded (removed from the skyline for good).
     expanded: Vec<RecordId>,
 }
@@ -83,24 +113,24 @@ impl<'a> IncrementalSkyline<'a> {
             focal_id,
             heap: BinaryHeap::new(),
             skyline: Vec::new(),
-            buckets: HashMap::new(),
+            points: Vec::new(),
+            buckets: Vec::new(),
+            spare: Vec::new(),
             expanded: Vec::new(),
         };
-        if !tree.is_empty() {
-            let root_entry_mbr = tree.bounding_box().expect("non-empty tree has an MBR");
-            this.heap.push(HeapItem {
-                key: root_entry_mbr.hi.iter().sum(),
-                corner: root_entry_mbr.hi.clone(),
-                lower: root_entry_mbr.lo.clone(),
-                child: Child::Node(tree.root as u32),
-            });
-            this.drain();
+        if let Some(bounds) = tree.bounding_box() {
+            // The root is the first and only entry of a fresh heap: nothing
+            // can defer it, so only the focal test can skip reading it.
+            if !only_comparable(&bounds.lo, &bounds.hi, focal) {
+                read_node(tree, tree.root, &mut this.heap);
+                this.drain();
+            }
         }
         this
     }
 
     /// The current (live) skyline of non-expanded incomparable records.
-    pub fn skyline(&self) -> &[(RecordId, Vec<f64>)] {
+    pub fn skyline(&self) -> &[(RecordId, &'a [f64])] {
         &self.skyline
     }
 
@@ -115,19 +145,25 @@ impl<'a> IncrementalSkyline<'a> {
     ///
     /// # Panics
     /// Panics if `id` is not currently on the live skyline.
-    pub fn expand(&mut self, id: RecordId) -> &[(RecordId, Vec<f64>)] {
+    pub fn expand(&mut self, id: RecordId) -> &[(RecordId, &'a [f64])] {
         let pos = self
             .skyline
             .iter()
             .position(|(rid, _)| *rid == id)
             .expect("expanded record must be on the live skyline");
         self.skyline.swap_remove(pos);
+        let d = self.focal.len();
+        let last = self.skyline.len();
+        self.points.copy_within(last * d.., pos * d);
+        self.points.truncate(last * d);
+        let mut bucket = self.buckets.swap_remove(pos);
         self.expanded.push(id);
-        if let Some(bucket) = self.buckets.remove(&id) {
-            for item in bucket {
-                self.heap.push(item);
-            }
+        // One push at a time: `BinaryHeap::extend` may rebuild the heap,
+        // which would change the pop order among equal keys.
+        for item in bucket.drain(..) {
+            self.heap.push(item);
         }
+        self.spare.push(bucket);
         // `drain` only appends to the skyline, so the newcomers are its tail.
         let before = self.skyline.len();
         self.drain();
@@ -137,26 +173,25 @@ impl<'a> IncrementalSkyline<'a> {
     /// Pops heap entries until it is empty, maintaining the live skyline and
     /// the deferral buckets.
     fn drain(&mut self) {
+        let d = self.focal.len();
         while let Some(item) = self.heap.pop() {
-            // Focal-record pruning: sub-trees (or records) consisting solely of
-            // dominators/duplicates of the focal point, or solely of
-            // dominees/duplicates, are irrelevant to the incomparable skyline.
-            let all_ge = item.lower.iter().zip(&self.focal).all(|(l, p)| l >= p);
-            let all_le = item.corner.iter().zip(&self.focal).all(|(h, p)| h <= p);
-            if all_ge || all_le {
+            let entry = item.entry;
+            let (lo, hi) = (entry.mbr.lo.as_slice(), entry.mbr.hi.as_slice());
+            // Sub-trees (or records) with no incomparable record are
+            // irrelevant to the incomparable skyline.
+            if only_comparable(lo, hi, &self.focal) {
                 continue;
             }
             // Dominance against the live skyline: defer rather than discard.
-            if let Some((owner, _)) = self
-                .skyline
-                .iter()
-                .find(|(_, s)| dominates_weakly(s, &item.corner))
+            if let Some(owner) = self
+                .points
+                .chunks_exact(d)
+                .position(|s| dominates_weakly(s, hi))
             {
-                let owner = *owner;
-                self.buckets.entry(owner).or_default().push(item);
+                self.buckets[owner].push(item);
                 continue;
             }
-            match item.child {
+            match entry.child {
                 Child::Record(id) => {
                     if Some(id) == self.focal_id {
                         continue;
@@ -164,20 +199,11 @@ impl<'a> IncrementalSkyline<'a> {
                     // The point is incomparable (checked above) and not
                     // dominated by any live skyline record: it joins the
                     // skyline.
-                    self.skyline.push((id, item.corner));
+                    self.skyline.push((id, hi));
+                    self.points.extend_from_slice(hi);
+                    self.buckets.push(self.spare.pop().unwrap_or_default());
                 }
-                Child::Node(node_idx) => {
-                    record_read();
-                    let node = &self.tree.nodes[node_idx as usize];
-                    for e in &node.entries {
-                        self.heap.push(HeapItem {
-                            key: e.mbr.hi.iter().sum(),
-                            corner: e.mbr.hi.clone(),
-                            lower: e.mbr.lo.clone(),
-                            child: e.child,
-                        });
-                    }
-                }
+                Child::Node(idx) => read_node(self.tree, idx as usize, &mut self.heap),
             }
         }
     }

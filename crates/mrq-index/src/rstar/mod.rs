@@ -145,14 +145,7 @@ impl RStarTree {
 
     /// Minimum bounding box of all indexed points (None when empty).
     pub fn bounding_box(&self) -> Option<BoundingBox> {
-        let root = &self.nodes[self.root];
-        let mut it = root.entries.iter();
-        let first = it.next()?;
-        let mut mbr = first.mbr.clone();
-        for e in it {
-            mbr = mbr.union(&e.mbr);
-        }
-        Some(mbr)
+        self.nodes[self.root].mbr()
     }
 
     /// Internal consistency check used by tests: every node entry's MBR and

@@ -106,11 +106,15 @@ pub struct Node {
 impl Node {
     /// Tight MBR over the node's entries (None if the node is empty).
     pub fn mbr(&self) -> Option<BoundingBox> {
-        let mut it = self.entries.iter();
-        let first = it.next()?;
+        let (first, rest) = self.entries.split_first()?;
         let mut mbr = first.mbr.clone();
-        for e in it {
-            mbr = mbr.union(&e.mbr);
+        for e in rest {
+            for (lo, x) in mbr.lo.iter_mut().zip(&e.mbr.lo) {
+                *lo = lo.min(*x);
+            }
+            for (hi, x) in mbr.hi.iter_mut().zip(&e.mbr.hi) {
+                *hi = hi.max(*x);
+            }
         }
         Some(mbr)
     }

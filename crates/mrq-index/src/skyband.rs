@@ -8,39 +8,10 @@
 //! provided as part of the index layer and used by the examples and tests as
 //! an independent cross-check of the ranking machinery.
 
-use crate::iostats::record_read;
+use crate::bbs::{only_comparable, read_node};
 use crate::rstar::{Child, RStarTree};
 use mrq_data::RecordId;
 use std::collections::BinaryHeap;
-
-#[derive(Debug)]
-struct Item {
-    key: f64,
-    corner: Vec<f64>,
-    /// Lower corner of the MBR (equals `corner` for records); used by the
-    /// focal-pruned variant to discard all-comparable sub-trees.
-    lower: Vec<f64>,
-    child: Child,
-}
-
-impl PartialEq for Item {
-    fn eq(&self, other: &Self) -> bool {
-        self.key == other.key
-    }
-}
-impl Eq for Item {}
-impl PartialOrd for Item {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Item {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key
-            .partial_cmp(&other.key)
-            .unwrap_or(std::cmp::Ordering::Equal)
-    }
-}
 
 /// Computes the `k`-skyband: the ids of all records dominated by fewer than
 /// `k` others.  `k = 1` yields the ordinary skyline.
@@ -79,30 +50,26 @@ fn k_skyband_impl(
     focal: Option<(&[f64], Option<RecordId>)>,
 ) -> Vec<RecordId> {
     assert!(k >= 1, "the 0-skyband is empty by definition");
-    let mut result: Vec<(RecordId, Vec<f64>)> = Vec::new();
-    if tree.is_empty() {
+    let Some(bounds) = tree.bounding_box() else {
         return Vec::new();
-    }
-    let root_mbr = tree.bounding_box().expect("non-empty tree");
+    };
     let mut heap = BinaryHeap::new();
-    heap.push(Item {
-        key: root_mbr.hi.iter().sum(),
-        corner: root_mbr.hi.clone(),
-        lower: root_mbr.lo.clone(),
-        child: Child::Node(tree.root as u32),
-    });
+    // The root is the only entry of a fresh heap and nothing is confirmed
+    // yet, so only the focal test can skip reading it.
+    if !focal.is_some_and(|(p, _)| only_comparable(&bounds.lo, &bounds.hi, p)) {
+        read_node(tree, tree.root, &mut heap);
+    }
+    let mut result: Vec<(RecordId, &[f64])> = Vec::new();
     while let Some(item) = heap.pop() {
+        let entry = item.entry;
+        let (lo, hi) = (entry.mbr.lo.as_slice(), entry.mbr.hi.as_slice());
         if let Some((p, skip)) = focal {
-            // Focal pruning, as in `IncrementalSkyline`: sub-trees (or
-            // records) consisting solely of dominators/duplicates of the
-            // focal point, or solely of dominees/duplicates, contain no
-            // incomparable record.
-            let all_ge = item.lower.iter().zip(p).all(|(l, v)| l >= v);
-            let all_le = item.corner.iter().zip(p).all(|(h, v)| h <= v);
-            if all_ge || all_le {
+            // Focal pruning, as in `IncrementalSkyline`: no incomparable
+            // record inside.
+            if only_comparable(lo, hi, p) {
                 continue;
             }
-            if let Child::Record(id) = item.child {
+            if let Child::Record(id) = entry.child {
                 if Some(id) == skip {
                     continue;
                 }
@@ -110,25 +77,14 @@ fn k_skyband_impl(
         }
         let dominated_by = result
             .iter()
-            .filter(|(_, s)| dominates_strictly(s, &item.corner))
+            .filter(|(_, s)| dominates_strictly(s, hi))
             .count();
         if dominated_by >= k {
             continue;
         }
-        match item.child {
-            Child::Record(id) => result.push((id, item.corner)),
-            Child::Node(idx) => {
-                record_read();
-                let node = &tree.nodes[idx as usize];
-                for e in &node.entries {
-                    heap.push(Item {
-                        key: e.mbr.hi.iter().sum(),
-                        corner: e.mbr.hi.clone(),
-                        lower: e.mbr.lo.clone(),
-                        child: e.child,
-                    });
-                }
-            }
+        match entry.child {
+            Child::Record(id) => result.push((id, hi)),
+            Child::Node(idx) => read_node(tree, idx as usize, &mut heap),
         }
     }
     result.into_iter().map(|(id, _)| id).collect()

@@ -4,7 +4,9 @@
 
 use mrq_data::{dominates, naive_skyline, partition_by_focal, Dataset, Update};
 use mrq_geometry::BoundingBox;
-use mrq_index::{k_skyband, order_of, top_k, IncrementalSkyline, RStarConfig, RStarTree};
+use mrq_index::{
+    count_reads, k_skyband, order_of, top_k, IncrementalSkyline, RStarConfig, RStarTree,
+};
 use proptest::prelude::*;
 
 fn dataset_strategy(d: usize) -> impl Strategy<Value = Dataset> {
@@ -24,6 +26,63 @@ fn build_both(data: &Dataset) -> (RStarTree, RStarTree) {
         incr.insert(id, r);
     }
     (bulk, incr)
+}
+
+/// A small-integer grid at `d` ∈ {2, 3} built to break skyline code: grid
+/// values repeat coordinates and attribute sums (equal heap keys), and on
+/// top of the rows drawn come copies of the focal record, duplicates of
+/// other records and coordinate-reversed records (equal sums).  Returns the
+/// data and the focal id.
+fn hard_grid(three_d: bool, cells: &[Vec<u8>], seed: u64) -> (Dataset, u32) {
+    use rand::{rngs::StdRng, Rng, SeedableRng};
+    let d = if three_d { 3 } else { 2 };
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rows: Vec<Vec<f64>> = cells
+        .iter()
+        .map(|c| c[..d].iter().map(|&v| f64::from(v)).collect())
+        .collect();
+    let focal = rng.gen_range(0..rows.len());
+    for _ in 0..rng.gen_range(1..=3usize) {
+        rows.push(rows[focal].clone());
+    }
+    for _ in 0..rng.gen_range(0..=cells.len() / 2) {
+        let pick = rng.gen_range(0..cells.len());
+        let mut row = rows[pick].clone();
+        if rng.gen::<bool>() {
+            row.reverse();
+        }
+        rows.push(row);
+    }
+    (Dataset::from_rows(d, &rows), focal as u32)
+}
+
+/// Checks the live skyline against the definition: its points, deduplicated,
+/// are the maximal points of the incomparable records not yet expanded, and
+/// no two live records share coordinates.
+fn check_live_skyline(
+    data: &Dataset,
+    incomparable: &[u32],
+    live: &[(u32, Vec<f64>)],
+    expanded: &[u32],
+) -> Result<(), TestCaseError> {
+    let remaining: Vec<u32> = incomparable
+        .iter()
+        .copied()
+        .filter(|id| !expanded.contains(id))
+        .collect();
+    let mut expected: Vec<Vec<f64>> = naive_skyline(data, &remaining)
+        .into_iter()
+        .map(|id| data.record(id).to_vec())
+        .collect();
+    expected.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    expected.dedup();
+    let mut got: Vec<Vec<f64>> = live.iter().map(|(_, p)| p.clone()).collect();
+    got.sort_by(|a, b| a.partial_cmp(b).unwrap());
+    let live_len = got.len();
+    got.dedup();
+    prop_assert_eq!(got.len(), live_len, "two live records share coordinates");
+    prop_assert_eq!(got, expected);
+    Ok(())
 }
 
 proptest! {
@@ -293,5 +352,56 @@ proptest! {
         prop_assert_eq!(tree.range_count(&query), rebuilt.range_count(&query));
 
         std::fs::remove_dir_all(&dir).map_err(|e| TestCaseError::fail(e.to_string()))?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Expanding live skyline records in a random order on hard grids keeps
+    /// the live skyline exact after every step, returns the newcomers as
+    /// the live skyline's tail, and reads every R\*-tree node at most once
+    /// over the whole expansion, on a bulk-loaded and an incrementally built
+    /// tree alike.
+    #[test]
+    fn expansion_on_hard_grids_keeps_the_skyline_exact(
+        three_d in any::<bool>(),
+        cells in prop::collection::vec(prop::collection::vec(0u8..5, 3), 1..50),
+        seed in any::<u64>(),
+    ) {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let (data, focal) = hard_grid(three_d, &cells, seed);
+        let p = data.record(focal).to_vec();
+        let incomparable = partition_by_focal(&data, &p, Some(focal)).incomparable;
+        let (bulk, incr) = build_both(&data);
+        for tree in [&bulk, &incr] {
+            let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+            let (mut sky, mut reads) = count_reads(|| IncrementalSkyline::new(tree, &p, Some(focal)));
+            let mut live: Vec<(u32, Vec<f64>)> =
+                sky.skyline().iter().map(|(id, row)| (*id, row.to_vec())).collect();
+            check_live_skyline(&data, &incomparable, &live, sky.expanded())?;
+            while !live.is_empty() {
+                let id = live[rng.gen_range(0..live.len())].0;
+                let (newcomers, step_reads) = count_reads(|| {
+                    sky.expand(id)
+                        .iter()
+                        .map(|(rid, row)| (*rid, row.to_vec()))
+                        .collect::<Vec<_>>()
+                });
+                reads += step_reads;
+                // The newcomers are new, the live skyline lost one record
+                // (`id`) besides gaining them, and they form its tail.
+                prop_assert!(newcomers.iter().all(|(rid, _)| live.iter().all(|(old, _)| old != rid)));
+                let before = live.len();
+                live = sky.skyline().iter().map(|(rid, row)| (*rid, row.to_vec())).collect();
+                prop_assert_eq!(live.len(), before - 1 + newcomers.len());
+                prop_assert_eq!(&live[live.len() - newcomers.len()..], &newcomers[..]);
+                check_live_skyline(&data, &incomparable, &live, sky.expanded())?;
+                prop_assert!(
+                    reads <= tree.node_count() as u64,
+                    "{} page reads for {} nodes", reads, tree.node_count()
+                );
+            }
+        }
     }
 }
