@@ -269,7 +269,10 @@ mod tests {
         let (data, tree) = random_dataset(1200, 3, Distribution::Independent, 400);
         let focal = 11u32;
         let engine = MaxRankQuery::new(&data, &tree);
-        let aa = engine.evaluate(focal, &MaxRankConfig::new());
+        let aa = engine.evaluate(
+            focal,
+            &MaxRankConfig::new().with_algorithm(Algorithm::AdvancedApproach),
+        );
         let ba = engine.evaluate(
             focal,
             &MaxRankConfig::new().with_algorithm(Algorithm::BasicApproach),

@@ -6,8 +6,11 @@
 //! quad-tree leaves in increasing `|F_l|` order (Section 5.1), enumerating
 //! cells within each surviving leaf by Hamming weight (Section 5.2).
 //!
-//! BA is exact but reads a large fraction of the dataset; the paper (and our
-//! experiments) use it mainly as the baseline that AA is compared against.
+//! BA is exact but reads every incomparable record.  The paper uses it as the
+//! baseline that AA is compared against, because on a disk-resident R\*-tree
+//! those reads dominate.  With the index in memory they are cheap, and BA
+//! is what `Algorithm::Auto` runs at d = 3: it builds one arrangement and
+//! enumerates it once, where AA pays for several rounds and BBS expansions.
 
 use crate::common::{build_result, map_record, trivial_result, HalfSpaceRegistry, MappedHalfSpace};
 use crate::result::{MaxRankResult, QueryStats};

@@ -11,8 +11,13 @@ use std::time::Instant;
 /// Which algorithm to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Algorithm {
-    /// The paper's recommendation: the specialised AA for `d = 2`, the
-    /// general AA otherwise.
+    /// The specialised AA for `d = 2`, BA for `d = 3`, the general AA
+    /// otherwise.  The paper prefers AA because it reads fewer pages of a
+    /// disk-resident R\*-tree; with the index in memory, at `d = 3`, AA reads
+    /// almost as many pages as BA and pays for its enumeration rounds and
+    /// BBS expansions, so BA is faster there.  Higher `d` keeps AA until BA
+    /// is measured at the sizes of the registered paper datasets (ROADMAP
+    /// item 8).
     #[default]
     Auto,
     /// First-cut algorithm (Section 4), `d = 2` only.
@@ -50,11 +55,12 @@ impl Algorithm {
     }
 
     /// Resolves `Auto` to the concrete algorithm the engine would pick for
-    /// dimensionality `d` (the paper's recommendation: the specialised AA for
-    /// `d = 2`, the general AA otherwise).
+    /// dimensionality `d`: the specialised AA for `d = 2`, BA for `d = 3`,
+    /// the general AA otherwise.
     pub fn resolve(&self, dims: usize) -> Algorithm {
         match (self, dims) {
             (Algorithm::Auto, 2) => Algorithm::AdvancedApproach2D,
+            (Algorithm::Auto, 3) => Algorithm::BasicApproach,
             (Algorithm::Auto, _) => Algorithm::AdvancedApproach,
             (other, _) => *other,
         }
@@ -225,12 +231,32 @@ mod tests {
     }
 
     #[test]
+    fn auto_resolves_to_aa2d_in_2d_ba_in_3d_and_aa_above() {
+        assert_eq!(Algorithm::Auto.resolve(2), Algorithm::AdvancedApproach2D);
+        assert_eq!(Algorithm::Auto.resolve(3), Algorithm::BasicApproach);
+        for d in 4..=9 {
+            assert_eq!(
+                Algorithm::Auto.resolve(d),
+                Algorithm::AdvancedApproach,
+                "d = {d}"
+            );
+        }
+        assert_eq!(
+            Algorithm::AdvancedApproach.resolve(3),
+            Algorithm::AdvancedApproach
+        );
+    }
+
+    #[test]
     fn all_algorithms_agree_in_3d() {
         let mut rng = StdRng::seed_from_u64(4);
         let data = synthetic::generate(Distribution::Independent, 150, 3, &mut rng);
         let tree = RStarTree::bulk_load(&data);
         let engine = MaxRankQuery::new(&data, &tree);
-        let aa = engine.evaluate(9, &MaxRankConfig::new());
+        let aa = engine.evaluate(
+            9,
+            &MaxRankConfig::new().with_algorithm(Algorithm::AdvancedApproach),
+        );
         let ba = engine.evaluate(
             9,
             &MaxRankConfig::new().with_algorithm(Algorithm::BasicApproach),

@@ -1,4 +1,4 @@
-//! AA against BA, and AA against itself on three threads, on the population
+//! AA against BA, and each against itself on three threads, on the population
 //! of the serving benchmark's `cold_read` workload (IND, n = 1000, d = 3,
 //! dataset seed 2015, focals 0–299) at τ ∈ {0, 2}.
 //!
@@ -8,11 +8,12 @@
 //!   leaf, and the two algorithms index different half-space sets, so they
 //!   cut a cell into different pieces and list its ids in different orders;
 //!   the set of cells is what both must agree on.
-//! * **AA on one and on three threads** must return identical results:
-//!   the same regions in the same order, with the same orders, witnesses,
-//!   slacks, constraints and outranking ids.  The threads share one leaf
-//!   frontier under a lock and split the leaves they pop, so this also runs
-//!   as a race regression.
+//! * **AA, and BA, on one and on three threads** must return identical
+//!   results: the same regions in the same order, with the same orders,
+//!   witnesses, slacks, constraints and outranking ids.  The threads share
+//!   one leaf frontier under a lock and split the leaves they pop, so this
+//!   also runs as a race regression.  BA is what `auto` runs at d = 3, so
+//!   threaded requests reach it by default.
 
 use mrq_core::{Algorithm, MaxRankConfig, MaxRankQuery, MaxRankResult};
 use mrq_data::{synthetic, Distribution};
@@ -41,7 +42,7 @@ fn listing(res: &MaxRankResult) -> String {
 }
 
 #[test]
-fn aa_agrees_with_ba_and_with_itself_on_three_threads() {
+fn aa_agrees_with_ba_and_each_with_itself_on_three_threads() {
     let mut rng = StdRng::seed_from_u64(2015);
     let data = synthetic::generate(Distribution::Independent, 1000, 3, &mut rng);
     let tree = RStarTree::bulk_load(&data);
@@ -64,6 +65,12 @@ fn aa_agrees_with_ba_and_with_itself_on_three_threads() {
                 listing(&aa),
                 listing(&threaded),
                 "{label}: AA on 1 vs 3 threads"
+            );
+            let threaded = engine.evaluate(focal, &config(Algorithm::BasicApproach, 3));
+            assert_eq!(
+                listing(&ba),
+                listing(&threaded),
+                "{label}: BA on 1 vs 3 threads"
             );
         }
     }

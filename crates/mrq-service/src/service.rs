@@ -560,6 +560,57 @@ mod tests {
     }
 
     #[test]
+    fn auto_on_3d_data_runs_ba_and_shares_its_cache_entry() {
+        use crate::subscriptions::NotifyMailbox;
+
+        let service = demo_service(ServiceConfig::default());
+        service
+            .registry()
+            .register(
+                "d3",
+                &DatasetSpec::Synthetic {
+                    dist: mrq_data::Distribution::Independent,
+                    n: 120,
+                    d: 3,
+                    seed: 9,
+                },
+            )
+            .unwrap();
+        let req = QueryRequest::new("d3", 5);
+        let first = service.query(&req).unwrap();
+        assert_eq!(first.algorithm, Algorithm::BasicApproach);
+        assert!(!first.cached);
+        // An explicit request for the resolved algorithm shares the entry.
+        let explicit = service
+            .query(&QueryRequest {
+                algorithm: Algorithm::BasicApproach,
+                ..req.clone()
+            })
+            .unwrap();
+        assert!(explicit.cached);
+        assert!(Arc::ptr_eq(&first.result, &explicit.result));
+        // So does a standing query registered with `auto`.
+        let sub = service
+            .subscribe("d3", 5, Algorithm::Auto, 0, Arc::new(NotifyMailbox::new()))
+            .unwrap();
+        assert_eq!(sub.algorithm(), Algorithm::BasicApproach);
+        assert!(Arc::ptr_eq(&sub.snapshot().0, &first.result));
+        // AA is another algorithm: its own entry, and the same k*.
+        let aa = service
+            .query(&QueryRequest {
+                algorithm: Algorithm::AdvancedApproach,
+                ..req
+            })
+            .unwrap();
+        assert_eq!(aa.algorithm, Algorithm::AdvancedApproach);
+        assert!(!aa.cached);
+        assert_eq!(aa.result.k_star, first.result.k_star);
+        let cache = service.stats().cache;
+        assert_eq!((cache.hits, cache.misses), (2, 2));
+        service.shutdown();
+    }
+
+    #[test]
     fn no_cache_requests_bypass_the_cache() {
         let service = demo_service(ServiceConfig::default());
         let req = QueryRequest {

@@ -57,7 +57,10 @@ fn algorithms_agree_across_dimensions_and_distributions() {
         let mut rng = StdRng::seed_from_u64(seed + 100);
         for _ in 0..3 {
             let focal = rng.gen_range(0..data.len() as u32);
-            let aa = engine.evaluate(focal, &MaxRankConfig::new());
+            let aa = engine.evaluate(
+                focal,
+                &MaxRankConfig::new().with_algorithm(Algorithm::AdvancedApproach),
+            );
             let ba = engine.evaluate(
                 focal,
                 &MaxRankConfig::new().with_algorithm(Algorithm::BasicApproach),

@@ -47,7 +47,7 @@ proptest! {
     fn d3_exact_and_bounded((data, focal) in dataset_strategy(3, 60)) {
         let tree = RStarTree::bulk_load(&data);
         let engine = MaxRankQuery::new(&data, &tree);
-        let aa = engine.evaluate(focal, &MaxRankConfig::new());
+        let aa = engine.evaluate(focal, &MaxRankConfig::new().with_algorithm(Algorithm::AdvancedApproach));
         let ba = engine.evaluate(focal, &MaxRankConfig::new().with_algorithm(Algorithm::BasicApproach));
         prop_assert_eq!(aa.k_star, ba.k_star);
         let p = data.record(focal);
