@@ -17,7 +17,7 @@ pub enum Algorithm {
     /// almost as many pages as BA and pays for its enumeration rounds and
     /// BBS expansions, so BA is faster there.  Higher `d` keeps AA until BA
     /// is measured at the sizes of the registered paper datasets (ROADMAP
-    /// item 8).
+    /// item 7).
     #[default]
     Auto,
     /// First-cut algorithm (Section 4), `d = 2` only.

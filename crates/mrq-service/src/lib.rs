@@ -5,20 +5,23 @@
 //! resident and streams requests through it:
 //!
 //! ```text
-//!            ┌───────────────────────────── MrqService ─────────────────────────────┐
-//! client ──► │ DatasetRegistry ──► bounded queue ──► WorkerPool ──► ResultCache │ ──► answer
-//!            │  (versioned Dataset    (backpressure,    (N threads,     (LRU keyed by │
-//!            │   + R*-tree snapshots   deadlines)        one job each)   dataset/version/ │
-//!            │   behind Arc)                                             focal/algo/tau) │
-//!            └──────────────────────────────────────────────────────────────────────┘
+//!            ┌──────────────────────────────── MrqService ────────────────────────────────┐
+//! client ──► │ DatasetRegistry ──► ResultCache ──miss──► bounded queue ──► WorkerPool     │ ──► answer
+//!            │  (versioned Dataset  (LRU keyed by        (backpressure,     (N threads,   │
+//!            │   + R*-tree snapshots dataset/version/    deadlines)         one job each, │
+//!            │   behind Arc)         focal/algo/tau;                        fills the     │
+//!            │                       a hit answers                          cache)        │
+//!            │                       at once)                                             │
+//!            └────────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! * [`registry`] — load/generate each named dataset once, share `Arc`
 //!   snapshots; updates go through [`DatasetHandle::apply`] (copy-on-write
 //!   swap, serialized per dataset, versioned).
-//! * [`pool`] — fixed worker threads over a bounded queue; each job is one
-//!   `MaxRankQuery::evaluate` on the snapshot it was validated against;
-//!   per-request deadlines; graceful drain-then-join shutdown.
+//! * [`pool`] — fixed worker threads over a bounded queue of cache misses;
+//!   each job is one `MaxRankQuery::evaluate` on the snapshot it was
+//!   validated against; per-request deadlines; graceful drain-then-join
+//!   shutdown.
 //! * [`cache`] — an O(1) LRU over `(dataset, version, focal, algorithm,
 //!   tau)` with hit/miss/eviction counters; the version component retires
 //!   stale entries without a flush.

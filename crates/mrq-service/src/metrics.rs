@@ -167,12 +167,6 @@ pub fn families(stats: &ServiceStats) -> Vec<Family> {
             "Jobs whose deadline had already passed at dequeue time.",
             one(p.timed_out),
         ),
-        (
-            "mrq_pool_jobs_deadline_rejected_total",
-            Counter,
-            "Jobs rejected by the second deadline check, between cache lookup and evaluation.",
-            one(p.deadline_rejected),
-        ),
         // Per-dataset lifetime query totals.
         (
             "mrq_dataset_queries_total",
@@ -673,7 +667,6 @@ mod tests {
                 queue_depth: 1,
                 executed: 42,
                 timed_out: 2,
-                deadline_rejected: 1,
             },
             datasets: vec!["demo".into()],
             per_dataset: vec![DatasetQueryStats {
@@ -728,7 +721,6 @@ mod tests {
             "mrq_pool_queue_depth 1",
             "mrq_pool_jobs_executed_total 42",
             "mrq_pool_jobs_timed_out_total 2",
-            "mrq_pool_jobs_deadline_rejected_total 1",
             "mrq_dataset_queries_total{dataset=\"demo\"} 10",
             "mrq_dataset_cache_hits_total{dataset=\"demo\"} 3",
             "mrq_dataset_cpu_microseconds_total{dataset=\"demo\"} 12345",

@@ -1,5 +1,7 @@
 //! The fixed-size worker pool: a bounded request queue drained by `N`
-//! threads, with per-request deadlines and graceful shutdown.
+//! threads, with per-request deadlines and graceful shutdown.  The pool only
+//! evaluates: cache hits are answered by the service before a job is queued,
+//! so every job here is a cache miss (or a `no_cache` request).
 //!
 //! Threading model (also documented in `docs/ARCHITECTURE.md`):
 //!
@@ -7,12 +9,12 @@
 //!   [`WorkerPool::submit`] blocks while the queue is at capacity;
 //!   [`WorkerPool::try_submit`] instead fails fast with
 //!   [`ServiceError::QueueFull`] so a server can apply backpressure.
-//! * Each worker pops the oldest job and runs, in order: a deadline check,
-//!   the cache lookup, a second deadline check, then
-//!   [`MaxRankQuery::evaluate`] under `catch_unwind`, and responds.  One job
-//!   is one evaluation on one thread, so the evaluation's page-read count
-//!   (`mrq_index::iostats`) is exact however many workers share the index.
-//! * A job whose deadline has passed at either check is answered with
+//! * Each worker pops the oldest job and runs, in order: one deadline check,
+//!   then [`MaxRankQuery::evaluate`] under `catch_unwind`, fills the cache
+//!   with the answer and responds.  One job is one evaluation on one thread,
+//!   so the evaluation's page-read count (`mrq_index::iostats`) is exact
+//!   however many workers share the index.
+//! * A job whose deadline has passed at dequeue is answered with
 //!   [`ServiceError::DeadlineExceeded`] without being evaluated.  A job that
 //!   *starts* before its deadline runs
 //!   to completion (MaxRank evaluation is not cooperatively cancellable);
@@ -50,20 +52,15 @@ pub struct QueryJob {
     pub threads: usize,
     /// Absolute deadline; `None` = no deadline.
     pub deadline: Option<Instant>,
-    /// Cache key; `None` bypasses the result cache for this job.
+    /// Cache key the answer is stored under; `None` leaves the cache alone.
     pub cache_key: Option<CacheKey>,
     /// Where the outcome is delivered.
     pub responder: mpsc::Sender<JobOutcome>,
 }
 
-/// The outcome delivered to a job's responder channel.
-#[derive(Debug)]
-pub struct JobOutcome {
-    /// The answer, or why there is none.
-    pub result: Result<Arc<MaxRankResult>, ServiceError>,
-    /// Whether the answer came from the result cache.
-    pub cached: bool,
-}
+/// The outcome delivered to a job's responder channel: the evaluated
+/// answer, or why there is none.
+pub type JobOutcome = Result<Arc<MaxRankResult>, ServiceError>;
 
 /// Pool sizing knobs.
 #[derive(Debug, Clone, Copy)]
@@ -94,14 +91,10 @@ pub struct PoolStats {
     pub queue_capacity: usize,
     /// Jobs currently queued.
     pub queue_depth: usize,
-    /// Jobs evaluated (cache hits and timed-out jobs not included).
+    /// Jobs evaluated (timed-out jobs not included).
     pub executed: u64,
     /// Jobs answered `DeadlineExceeded` at dequeue time.
     pub timed_out: u64,
-    /// Jobs answered `DeadlineExceeded` at the second check, between the
-    /// cache lookup and evaluation (their deadline expired during the cache
-    /// lookup, so they never paid for an eval).
-    pub deadline_rejected: u64,
 }
 
 struct Queue {
@@ -118,10 +111,9 @@ struct Shared {
     query_stats: Arc<QueryStatsBook>,
     executed: AtomicU64,
     timed_out: AtomicU64,
-    deadline_rejected: AtomicU64,
     /// Test hooks, armed per pool so that concurrently running tests never
-    /// consume each other's: milliseconds each worker sleeps between the
-    /// cache lookup and evaluation, and whether the next evaluation panics.
+    /// consume each other's: milliseconds each worker sleeps just before
+    /// evaluation, and whether the next evaluation panics.
     #[cfg(test)]
     pre_eval_delay_ms: AtomicU64,
     #[cfg(test)]
@@ -170,7 +162,6 @@ impl WorkerPool {
             query_stats,
             executed: AtomicU64::new(0),
             timed_out: AtomicU64::new(0),
-            deadline_rejected: AtomicU64::new(0),
             #[cfg(test)]
             pre_eval_delay_ms: AtomicU64::new(0),
             #[cfg(test)]
@@ -235,8 +226,14 @@ impl WorkerPool {
             queue_depth: depth,
             executed: self.shared.executed.load(Ordering::Relaxed),
             timed_out: self.shared.timed_out.load(Ordering::Relaxed),
-            deadline_rejected: self.shared.deadline_rejected.load(Ordering::Relaxed),
         }
+    }
+
+    /// Makes every evaluation in this pool sleep `ms` milliseconds first, so
+    /// a test can hold a worker busy (tests only; 0 disarms it).
+    #[cfg(test)]
+    pub(crate) fn delay_evals(&self, ms: u64) {
+        self.shared.pre_eval_delay_ms.store(ms, Ordering::Relaxed);
     }
 
     /// Makes the next evaluation in this pool panic (tests only).
@@ -288,40 +285,21 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Answers one job: deadline check, cache lookup, second deadline check,
-/// then one evaluation.
+/// Answers one job: a deadline check, then one evaluation whose answer
+/// fills the cache.
 fn run_job(shared: &Shared, job: QueryJob) {
-    let expired = |job: &QueryJob| job.deadline.is_some_and(|d| d <= Instant::now());
-    if expired(&job) {
+    if job.deadline.is_some_and(|d| d <= Instant::now()) {
         shared.timed_out.fetch_add(1, Ordering::Relaxed);
-        respond(&job, Err(ServiceError::DeadlineExceeded), false);
-        return;
-    }
-    if let Some(hit) = job.cache_key.as_ref().and_then(|key| shared.cache.get(key)) {
-        shared.query_stats.record_cache_hit(job.entry.name());
-        respond(&job, Ok(hit), true);
+        respond(&job, Err(ServiceError::DeadlineExceeded));
         return;
     }
 
     #[cfg(test)]
     {
-        // Test hook: widen the window between the cache lookup and
-        // evaluation so the second deadline check below can be exercised
-        // deterministically.
         let ms = shared.pre_eval_delay_ms.load(Ordering::Relaxed);
         if ms > 0 {
             std::thread::sleep(std::time::Duration::from_millis(ms));
         }
-    }
-
-    // Deadlines are re-checked here because the cache lookup (and, under
-    // contention, the wait for the cache mutex) happens after the dequeue
-    // check: a job that has died in between must not pay for an evaluation
-    // its waiter already abandoned.
-    if expired(&job) {
-        shared.deadline_rejected.fetch_add(1, Ordering::Relaxed);
-        respond(&job, Err(ServiceError::DeadlineExceeded), false);
-        return;
     }
 
     let config = MaxRankConfig {
@@ -347,7 +325,7 @@ fn run_job(shared: &Shared, job: QueryJob) {
             if let Some(key) = &job.cache_key {
                 shared.cache.insert(key.clone(), Arc::clone(&result));
             }
-            respond(&job, Ok(result), false);
+            respond(&job, Ok(result));
         }
         Err(_) => respond(
             &job,
@@ -356,14 +334,13 @@ fn run_job(shared: &Shared, job: QueryJob) {
                 job.entry.name(),
                 job.focal
             ))),
-            false,
         ),
     }
 }
 
-fn respond(job: &QueryJob, result: Result<Arc<MaxRankResult>, ServiceError>, cached: bool) {
+fn respond(job: &QueryJob, outcome: JobOutcome) {
     // The waiter may have given up (deadline) — a closed channel is fine.
-    let _ = job.responder.send(JobOutcome { result, cached });
+    let _ = job.responder.send(outcome);
 }
 
 #[cfg(test)]
@@ -411,7 +388,7 @@ mod tests {
     }
 
     #[test]
-    fn evaluates_and_caches() {
+    fn evaluates_and_fills_the_cache() {
         let entry = demo_entry();
         let cache = Arc::new(ResultCache::new(8));
         let pool = pool(2, 8, Arc::clone(&cache));
@@ -424,16 +401,21 @@ mod tests {
         };
         let (j1, rx1) = job(&entry, 5, None, Some(key.clone()));
         pool.submit(j1).unwrap();
-        let out1 = rx1.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(out1.result.unwrap().k_star, 3);
-        assert!(!out1.cached);
+        let answer = rx1.recv_timeout(Duration::from_secs(30)).unwrap().unwrap();
+        assert_eq!(answer.k_star, 3);
+        // The pool stores the answer without looking the key up: the one
+        // lookup below is the cache's first, and it returns the very same
+        // allocation.
+        assert_eq!(cache.stats().misses, 0);
+        assert!(Arc::ptr_eq(&cache.get(&key).unwrap(), &answer));
 
-        let (j2, rx2) = job(&entry, 5, None, Some(key));
+        // A job without a key evaluates and leaves the cache alone.
+        let (j2, rx2) = job(&entry, 4, None, None);
         pool.submit(j2).unwrap();
-        let out2 = rx2.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(out2.result.unwrap().k_star, 3);
-        assert!(out2.cached);
-        assert_eq!(cache.stats().hits, 1);
+        assert!(rx2.recv_timeout(Duration::from_secs(30)).unwrap().is_ok());
+        let stats = cache.stats();
+        assert_eq!((stats.len, stats.hits, stats.misses), (1, 1, 0));
+        assert_eq!(pool.stats().executed, 2);
         pool.shutdown();
     }
 
@@ -445,31 +427,9 @@ mod tests {
         let (j, rx) = job(&entry, 5, Some(past), None);
         pool.submit(j).unwrap();
         let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(out.result.unwrap_err(), ServiceError::DeadlineExceeded);
+        assert_eq!(out.unwrap_err(), ServiceError::DeadlineExceeded);
         let stats = pool.stats();
         assert_eq!(stats.timed_out, 1);
-        assert_eq!(stats.executed, 0);
-        assert_eq!(stats.deadline_rejected, 0);
-        pool.shutdown();
-    }
-
-    #[test]
-    fn deadline_expiring_after_triage_is_rejected_pre_eval() {
-        // The deadline is alive at dequeue time but dies inside the widened
-        // triage-to-eval window, so the *second* check must fire: the job is
-        // answered DeadlineExceeded, counted as deadline_rejected (not
-        // timed_out), and never evaluated.
-        let entry = demo_entry();
-        let pool = pool(1, 8, Arc::new(ResultCache::new(0)));
-        pool.shared.pre_eval_delay_ms.store(600, Ordering::Relaxed);
-        let deadline = Instant::now() + Duration::from_millis(200);
-        let (j, rx) = job(&entry, 5, Some(deadline), None);
-        pool.submit(j).unwrap();
-        let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(out.result.unwrap_err(), ServiceError::DeadlineExceeded);
-        let stats = pool.stats();
-        assert_eq!(stats.deadline_rejected, 1);
-        assert_eq!(stats.timed_out, 0);
         assert_eq!(stats.executed, 0);
         pool.shutdown();
     }
@@ -485,14 +445,14 @@ mod tests {
         let (j, rx) = job(&entry, 5, None, None);
         pool.submit(j).unwrap();
         let out = rx.recv_timeout(Duration::from_secs(30)).unwrap();
-        match out.result.unwrap_err() {
+        match out.unwrap_err() {
             ServiceError::Internal(msg) => assert!(msg.contains("panicked"), "{msg}"),
             other => panic!("expected internal error, got {other:?}"),
         }
         let (j2, rx2) = job(&entry, 5, None, None);
         pool.submit(j2).unwrap();
         let out2 = rx2.recv_timeout(Duration::from_secs(30)).unwrap();
-        assert_eq!(out2.result.unwrap().k_star, 3);
+        assert_eq!(out2.unwrap().k_star, 3);
         pool.shutdown();
     }
 
@@ -513,11 +473,7 @@ mod tests {
         }
         assert!(saw_full, "a capacity-1 queue must reject under flood");
         for rx in receivers {
-            assert!(rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap()
-                .result
-                .is_ok());
+            assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap().is_ok());
         }
         pool.shutdown();
     }
@@ -535,11 +491,7 @@ mod tests {
             .collect();
         pool.shutdown();
         for rx in receivers {
-            assert!(rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap()
-                .result
-                .is_ok());
+            assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap().is_ok());
         }
         let (j, _rx) = job(&entry, 5, None, None);
         assert_eq!(pool.submit(j).unwrap_err(), ServiceError::ShuttingDown);
@@ -559,11 +511,7 @@ mod tests {
             })
             .collect();
         for rx in receivers {
-            assert!(rx
-                .recv_timeout(Duration::from_secs(30))
-                .unwrap()
-                .result
-                .is_ok());
+            assert!(rx.recv_timeout(Duration::from_secs(30)).unwrap().is_ok());
         }
         // No cache: each of the 32 jobs is its own evaluation.
         assert_eq!(pool.stats().executed, 32);

@@ -328,30 +328,7 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             "metrics" | "stats" => Ok(Request::Metrics),
             "query" => {
-                let dataset = value
-                    .get("dataset")
-                    .and_then(Json::as_str)
-                    .ok_or("query needs a string 'dataset'")?
-                    .to_string();
-                let focal = value
-                    .get("focal")
-                    .and_then(Json::as_usize)
-                    .ok_or("query needs a non-negative integer 'focal'")?;
-                if focal > RecordId::MAX as usize {
-                    return Err(format!("focal {focal} exceeds the record id range"));
-                }
-                let algorithm = match value.get("algorithm") {
-                    None => Algorithm::Auto,
-                    Some(v) => {
-                        let name = v.as_str().ok_or("'algorithm' must be a string")?;
-                        Algorithm::from_name(name)
-                            .ok_or_else(|| format!("unknown algorithm '{name}'"))?
-                    }
-                };
-                let tau = match value.get("tau") {
-                    None => 0,
-                    Some(v) => v.as_usize().ok_or("'tau' must be a non-negative integer")?,
-                };
+                let (dataset, focal, algorithm, tau) = focal_fields(&value, cmd)?;
                 let timeout_ms = match value.get("timeout_ms") {
                     None => None,
                     Some(v) => Some(
@@ -380,7 +357,7 @@ impl Request {
                 };
                 Ok(Request::Query {
                     dataset,
-                    focal: focal as RecordId,
+                    focal,
                     algorithm,
                     tau,
                     timeout_ms,
@@ -390,33 +367,10 @@ impl Request {
                 })
             }
             "subscribe" => {
-                let dataset = value
-                    .get("dataset")
-                    .and_then(Json::as_str)
-                    .ok_or("subscribe needs a string 'dataset'")?
-                    .to_string();
-                let focal = value
-                    .get("focal")
-                    .and_then(Json::as_usize)
-                    .ok_or("subscribe needs a non-negative integer 'focal'")?;
-                if focal > RecordId::MAX as usize {
-                    return Err(format!("focal {focal} exceeds the record id range"));
-                }
-                let algorithm = match value.get("algorithm") {
-                    None => Algorithm::Auto,
-                    Some(v) => {
-                        let name = v.as_str().ok_or("'algorithm' must be a string")?;
-                        Algorithm::from_name(name)
-                            .ok_or_else(|| format!("unknown algorithm '{name}'"))?
-                    }
-                };
-                let tau = match value.get("tau") {
-                    None => 0,
-                    Some(v) => v.as_usize().ok_or("'tau' must be a non-negative integer")?,
-                };
+                let (dataset, focal, algorithm, tau) = focal_fields(&value, cmd)?;
                 Ok(Request::Subscribe {
                     dataset,
-                    focal: focal as RecordId,
+                    focal,
                     algorithm,
                     tau,
                 })
@@ -497,6 +451,35 @@ impl Request {
     }
 }
 
+/// Parses the `dataset`, `focal`, `algorithm` and `tau` fields shared by the
+/// `query` and `subscribe` verbs; `verb` names the request in error messages.
+fn focal_fields(value: &Json, verb: &str) -> Result<(String, RecordId, Algorithm, usize), String> {
+    let dataset = value
+        .get("dataset")
+        .and_then(Json::as_str)
+        .ok_or_else(|| format!("{verb} needs a string 'dataset'"))?
+        .to_string();
+    let focal = value
+        .get("focal")
+        .and_then(Json::as_usize)
+        .ok_or_else(|| format!("{verb} needs a non-negative integer 'focal'"))?;
+    if focal > RecordId::MAX as usize {
+        return Err(format!("focal {focal} exceeds the record id range"));
+    }
+    let algorithm = match value.get("algorithm") {
+        None => Algorithm::Auto,
+        Some(v) => {
+            let name = v.as_str().ok_or("'algorithm' must be a string")?;
+            Algorithm::from_name(name).ok_or_else(|| format!("unknown algorithm '{name}'"))?
+        }
+    };
+    let tau = match value.get("tau") {
+        None => 0,
+        Some(v) => v.as_usize().ok_or("'tau' must be a non-negative integer")?,
+    };
+    Ok((dataset, focal as RecordId, algorithm, tau))
+}
+
 /// Renders an error response payload.  Every error carries its
 /// `retryable` classification (see [`ServiceError::retryable`]); capacity
 /// errors additionally carry a `retry_after_ms` backoff hint.
@@ -515,19 +498,7 @@ pub fn error_payload(err: &ServiceError) -> String {
 /// Renders a `query` answer payload.
 pub fn query_payload(answer: &QueryAnswer, max_regions: Option<usize>) -> String {
     let result = &answer.result;
-    let shown = max_regions.unwrap_or(result.region_count());
-    let mut orders = Vec::new();
-    let mut witnesses = Vec::new();
-    for region in result.regions.iter().take(shown) {
-        orders.push(Json::Num(region.order as f64));
-        witnesses.push(Json::Arr(
-            region
-                .representative_query()
-                .into_iter()
-                .map(Json::Num)
-                .collect(),
-        ));
-    }
+    let (orders, witnesses) = region_arrays(result, max_regions);
     Json::Obj(vec![
         ("ok".into(), Json::Bool(true)),
         ("k_star".into(), Json::Num(result.k_star as f64)),
@@ -547,28 +518,32 @@ pub fn query_payload(answer: &QueryAnswer, max_regions: Option<usize>) -> String
             "cpu_us".into(),
             Json::Num(result.stats.cpu_time.as_micros() as f64),
         ),
-        ("orders".into(), Json::Arr(orders)),
-        ("witnesses".into(), Json::Arr(witnesses)),
+        ("orders".into(), orders),
+        ("witnesses".into(), witnesses),
     ])
     .to_string()
+}
+
+/// The per-region `orders` and `witnesses` arrays, over at most `cap`
+/// regions (`None` = all).
+fn region_arrays(result: &MaxRankResult, cap: Option<usize>) -> (Json, Json) {
+    let (orders, witnesses) = result
+        .regions
+        .iter()
+        .take(cap.unwrap_or(usize::MAX))
+        .map(|region| {
+            let witness = region.representative_query().into_iter().map(Json::Num);
+            (Json::Num(region.order as f64), Json::Arr(witness.collect()))
+        })
+        .unzip();
+    (Json::Arr(orders), Json::Arr(witnesses))
 }
 
 /// The result-describing fields shared by `subscribe` acknowledgements and
 /// `NOTIFY` frames: `k_star`, `tau`, `algorithm`, `region_count` and the
 /// per-region `orders` / `witnesses`.
 fn result_fields(result: &MaxRankResult, algorithm: Algorithm) -> Vec<(String, Json)> {
-    let mut orders = Vec::new();
-    let mut witnesses = Vec::new();
-    for region in &result.regions {
-        orders.push(Json::Num(region.order as f64));
-        witnesses.push(Json::Arr(
-            region
-                .representative_query()
-                .into_iter()
-                .map(Json::Num)
-                .collect(),
-        ));
-    }
+    let (orders, witnesses) = region_arrays(result, None);
     vec![
         ("k_star".into(), Json::Num(result.k_star as f64)),
         ("tau".into(), Json::Num(result.tau as f64)),
@@ -577,8 +552,8 @@ fn result_fields(result: &MaxRankResult, algorithm: Algorithm) -> Vec<(String, J
             "region_count".into(),
             Json::Num(result.region_count() as f64),
         ),
-        ("orders".into(), Json::Arr(orders)),
-        ("witnesses".into(), Json::Arr(witnesses)),
+        ("orders".into(), orders),
+        ("witnesses".into(), witnesses),
     ]
 }
 

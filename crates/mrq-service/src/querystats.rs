@@ -3,10 +3,10 @@
 //! The result cache answers "how often did we skip work"; this module
 //! answers "what did the work we did cost, per dataset".  Workers fold every
 //! executed evaluation's [`mrq_core::QueryStats`] into a shared
-//! [`QueryStatsBook`]; the `metrics` verb reports the totals alongside the
-//! cache/pool counters, so a long-lived server exposes its workload mix
-//! (which datasets are hot, how much LP work the witness cache absorbs)
-//! without any per-request logging.
+//! [`QueryStatsBook`] and the service counts every cache hit there; the
+//! `metrics` verb reports the totals alongside the cache/pool counters, so a
+//! long-lived server exposes its workload mix (which datasets are hot, how
+//! much LP work the witness cache absorbs) without any per-request logging.
 
 use crate::sync::lock_or_recover;
 use mrq_core::QueryStats;
@@ -60,24 +60,27 @@ impl QueryStatsBook {
 
     /// Folds one executed evaluation into the dataset's totals.
     pub fn record_executed(&self, dataset: &str, stats: &QueryStats) {
-        let mut book = lock_or_recover(&self.inner);
-        book.entry(dataset.to_string())
-            .or_insert_with(|| DatasetQueryStats {
-                dataset: dataset.to_string(),
-                ..DatasetQueryStats::default()
-            })
-            .fold(stats);
+        self.update(dataset, |totals| totals.fold(stats));
     }
 
     /// Counts a cache-served answer for the dataset.
     pub fn record_cache_hit(&self, dataset: &str) {
+        self.update(dataset, |totals| totals.cache_hits += 1);
+    }
+
+    /// Applies `f` to the dataset's totals, allocating an entry only the
+    /// first time the dataset is seen.
+    fn update(&self, dataset: &str, f: impl FnOnce(&mut DatasetQueryStats)) {
         let mut book = lock_or_recover(&self.inner);
-        book.entry(dataset.to_string())
-            .or_insert_with(|| DatasetQueryStats {
-                dataset: dataset.to_string(),
-                ..DatasetQueryStats::default()
-            })
-            .cache_hits += 1;
+        match book.get_mut(dataset) {
+            Some(totals) => f(totals),
+            None => f(book
+                .entry(dataset.to_string())
+                .or_insert_with(|| DatasetQueryStats {
+                    dataset: dataset.to_string(),
+                    ..DatasetQueryStats::default()
+                })),
+        }
     }
 
     /// A snapshot of every dataset's totals, ordered by name.

@@ -1,11 +1,12 @@
-//! The in-process query service: registry → queue → worker pool → cache,
+//! The in-process query service: registry → cache → queue → worker pool,
 //! composed behind one handle.  The TCP server is a thin framing layer over
 //! this type, and `maxrank-cli --threads` drives it directly.
 //!
-//! There is one evaluation path: every evaluation, including a standing
-//! query's initial one and its re-evaluations after an update, is a
-//! [`MrqService::query`] through the pool, with its cache, panic isolation,
-//! deadlines and counters.
+//! There is one evaluation path: every query, including a standing query's
+//! initial one and its re-evaluations after an update, is a
+//! [`MrqService::query`].  A cache hit is answered at once on the calling
+//! thread; a miss is evaluated by the pool, with its panic isolation,
+//! deadline check and counters, and fills the cache.
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
 use crate::error::ServiceError;
@@ -186,41 +187,57 @@ impl ReliabilityBook {
     }
 }
 
-/// A pending answer: the validated request was accepted by the queue.
+/// A pending answer: the validated request was answered from the cache or
+/// accepted by the queue.
 pub struct PendingAnswer {
-    rx: mpsc::Receiver<JobOutcome>,
-    deadline: Option<Instant>,
+    state: Pending,
     algorithm: Algorithm,
     version: u64,
 }
 
+enum Pending {
+    /// A cache hit, answered before anything was queued.
+    Cached(Arc<MaxRankResult>),
+    /// A miss, queued for evaluation.
+    Queued {
+        rx: mpsc::Receiver<JobOutcome>,
+        deadline: Option<Instant>,
+    },
+}
+
 impl PendingAnswer {
-    /// Blocks until the answer arrives or the request's deadline passes.
+    /// Returns a cache hit at once; otherwise blocks until the answer
+    /// arrives or the request's deadline passes.
     pub fn wait(self) -> Result<QueryAnswer, ServiceError> {
-        let outcome = match self.deadline {
-            None => self
-                .rx
-                .recv()
-                .map_err(|_| ServiceError::Internal("worker dropped the request".into()))?,
-            Some(deadline) => {
-                let budget = deadline.saturating_duration_since(Instant::now());
-                match self.rx.recv_timeout(budget) {
-                    Ok(outcome) => outcome,
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        return Err(ServiceError::DeadlineExceeded)
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => {
-                        return Err(ServiceError::Internal("worker dropped the request".into()))
-                    }
-                }
-            }
+        let (result, cached) = match self.state {
+            Pending::Cached(result) => (result, true),
+            Pending::Queued { rx, deadline } => (receive(&rx, deadline)?, false),
         };
-        outcome.result.map(|result| QueryAnswer {
+        Ok(QueryAnswer {
             result,
-            cached: outcome.cached,
+            cached,
             algorithm: self.algorithm,
             version: self.version,
         })
+    }
+}
+
+/// Waits for a queued job's outcome until `deadline`.
+fn receive(
+    rx: &mpsc::Receiver<JobOutcome>,
+    deadline: Option<Instant>,
+) -> Result<Arc<MaxRankResult>, ServiceError> {
+    let dropped = || ServiceError::Internal("worker dropped the request".into());
+    match deadline {
+        None => rx.recv().map_err(|_| dropped())?,
+        Some(deadline) => {
+            let budget = deadline.saturating_duration_since(Instant::now());
+            match rx.recv_timeout(budget) {
+                Ok(outcome) => outcome,
+                Err(mpsc::RecvTimeoutError::Timeout) => Err(ServiceError::DeadlineExceeded),
+                Err(mpsc::RecvTimeoutError::Disconnected) => Err(dropped()),
+            }
+        }
     }
 }
 
@@ -271,13 +288,15 @@ impl MrqService {
         &self.reliability
     }
 
-    /// Validates a request and enqueues it, blocking while the queue is full.
+    /// Validates a request and answers it from the cache, or enqueues it,
+    /// blocking while the queue is full.
     pub fn enqueue(&self, request: &QueryRequest) -> Result<PendingAnswer, ServiceError> {
         self.enqueue_inner(request, true)
     }
 
-    /// Validates a request and enqueues it, failing fast with
-    /// [`ServiceError::QueueFull`] when the queue is at capacity.
+    /// Validates a request and answers it from the cache, or enqueues it,
+    /// failing fast with [`ServiceError::QueueFull`] when the queue is at
+    /// capacity.
     pub fn try_enqueue(&self, request: &QueryRequest) -> Result<PendingAnswer, ServiceError> {
         self.enqueue_inner(request, false)
     }
@@ -287,8 +306,9 @@ impl MrqService {
         self.enqueue(request)?.wait()
     }
 
-    /// Validates a request against a snapshot of its dataset and enqueues
-    /// it on that snapshot.
+    /// Validates a request against a snapshot of its dataset, then answers
+    /// it from the cache or enqueues it on that snapshot.  A hit takes no
+    /// queue slot and is served whatever the request's deadline.
     fn enqueue_inner(
         &self,
         request: &QueryRequest,
@@ -321,19 +341,27 @@ impl MrqService {
             )));
         }
         let algorithm = request.algorithm.resolve(dims);
-        let deadline = request
-            .timeout
-            .or(self.config.default_deadline)
-            .map(|t| Instant::now() + t);
+        let version = entry.version();
         let cache_key = (!request.no_cache).then(|| CacheKey {
             dataset: dataset.clone(),
-            version: entry.version(),
+            version,
             focal,
             algorithm,
             tau: request.tau,
         });
+        if let Some(result) = cache_key.as_ref().and_then(|key| self.cache.get(key)) {
+            self.query_stats.record_cache_hit(dataset);
+            return Ok(PendingAnswer {
+                state: Pending::Cached(result),
+                algorithm,
+                version,
+            });
+        }
+        let deadline = request
+            .timeout
+            .or(self.config.default_deadline)
+            .map(|t| Instant::now() + t);
         let (tx, rx) = mpsc::channel();
-        let version = entry.version();
         let job = QueryJob {
             entry,
             focal,
@@ -350,8 +378,7 @@ impl MrqService {
             self.pool.try_submit(job)?;
         }
         Ok(PendingAnswer {
-            rx,
-            deadline,
+            state: Pending::Queued { rx, deadline },
             algorithm,
             version,
         })
@@ -365,7 +392,7 @@ impl MrqService {
     /// The batch is atomic — on the first rejected update nothing of the
     /// batch becomes visible.  The apply runs on the calling thread; a
     /// standing query the batch may have changed is re-evaluated as an
-    /// ordinary query through the pool, and one whose re-evaluation fails is
+    /// ordinary query, and one whose re-evaluation fails is
     /// cancelled without failing the (already committed) update.
     pub fn update(&self, dataset: &str, updates: &[Update]) -> Result<UpdateOutcome, ServiceError> {
         self.update_with_id(dataset, updates, None)
@@ -451,8 +478,8 @@ impl MrqService {
     /// connection's mailbox writes them as `NOTIFY` frames; an in-process
     /// caller drains it).
     ///
-    /// The initial query goes through the pool like any other (cache,
-    /// default deadline, counters), under the dataset's subscription lock —
+    /// The initial query is an ordinary one (cache, default deadline for a
+    /// miss, counters), run under the dataset's subscription lock —
     /// registration is atomic with respect to updates.
     pub fn subscribe(
         &self,
@@ -556,6 +583,42 @@ mod tests {
             .unwrap();
         assert!(explicit.cached);
         assert_eq!(service.stats().cache.hits, 2);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_cache_hit_is_served_while_the_queue_is_full() {
+        let service = demo_service(ServiceConfig {
+            workers: 1,
+            queue_capacity: 1,
+            ..ServiceConfig::default()
+        });
+        let cached = service.query(&QueryRequest::new("demo", 5)).unwrap();
+        // Hold the only worker on one miss, then fill the queue with another.
+        service.pool.delay_evals(1_000);
+        let held = service.try_enqueue(&QueryRequest::new("demo", 4)).unwrap();
+        while service.stats().pool.queue_depth > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let queued = service.try_enqueue(&QueryRequest::new("demo", 3)).unwrap();
+        service.pool.delay_evals(0);
+
+        let hit = service
+            .try_enqueue(&QueryRequest::new("demo", 5))
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert!(hit.cached);
+        assert!(Arc::ptr_eq(&hit.result, &cached.result));
+        assert_eq!(
+            service.try_enqueue(&QueryRequest::new("demo", 2)).err(),
+            Some(ServiceError::QueueFull)
+        );
+        assert!(!held.wait().unwrap().cached);
+        assert!(!queued.wait().unwrap().cached);
+        let stats = service.stats();
+        assert_eq!(stats.pool.executed, 3);
+        assert_eq!((stats.cache.hits, stats.per_dataset[0].cache_hits), (1, 1));
         service.shutdown();
     }
 

@@ -34,7 +34,6 @@ fn golden_stats() -> ServiceStats {
             queue_depth: 3,
             executed: 9007199254740993, // 2^53 + 1: must not round to ...992
             timed_out: 4,
-            deadline_rejected: 2,
         },
         datasets: vec!["demo".into(), "hotels\"eu\"".into()],
         per_dataset: vec![
