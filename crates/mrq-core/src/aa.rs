@@ -29,7 +29,7 @@
 //!    order up to `o* + τ`.
 
 use crate::ba::AlgoConfig;
-use crate::common::{build_result, map_record, trivial_result, HalfSpaceRegistry, MappedHalfSpace};
+use crate::common::{build_result, trivial_result, HalfSpaceRegistry, Mapped, RecordMapper};
 use crate::result::{MaxRankResult, QueryStats};
 use crate::withinleaf::{ArrangementCell, CellEnumerator};
 use mrq_data::{Dataset, RecordId};
@@ -71,7 +71,7 @@ pub fn run_point(
         .unwrap_or_else(|| QuadTreeConfig::for_reduced_dims(d - 1));
     let mut state = AaState {
         data,
-        p,
+        mapper: RecordMapper::new(p),
         skyline: IncrementalSkyline::new(tree, p, focal_id),
         qt: HalfSpaceQuadTree::with_config(d - 1, qt_config),
         registry: HalfSpaceRegistry::default(),
@@ -163,7 +163,7 @@ pub fn run_point(
 /// Mutable state of one AA evaluation.
 struct AaState<'a> {
     data: &'a Dataset,
-    p: &'a [f64],
+    mapper: RecordMapper<'a>,
     skyline: IncrementalSkyline<'a>,
     qt: HalfSpaceQuadTree,
     registry: HalfSpaceRegistry,
@@ -180,17 +180,14 @@ impl<'a> AaState<'a> {
     fn insert_records(&mut self, records: Vec<RecordId>) {
         let mut queue: VecDeque<RecordId> = records.into();
         while let Some(rid) = queue.pop_front() {
-            match map_record(self.data.record(rid), self.p) {
-                MappedHalfSpace::Usable(h) => {
-                    let hid = self.qt.insert(h);
-                    self.registry.push(hid, rid);
-                }
-                MappedHalfSpace::AlwaysAbove => {
+            match self.mapper.map(self.data.record(rid)) {
+                Mapped::Usable(row, rhs) => self.registry.push(self.qt.insert_row(row, rhs), rid),
+                Mapped::AlwaysAbove => {
                     // Counts like a dominator; its dominees must still surface.
                     self.always_above += 1;
                     queue.extend(self.skyline.expand(rid).iter().map(|(id, _)| *id));
                 }
-                MappedHalfSpace::NeverAbove => {
+                Mapped::NeverAbove => {
                     // Never outranks the focal record; its dominees are
                     // contained in an empty half-space and are irrelevant too.
                 }

@@ -12,7 +12,7 @@
 //! is what `Algorithm::Auto` runs at d = 3: it builds one arrangement and
 //! enumerates it once, where AA pays for several rounds and BBS expansions.
 
-use crate::common::{build_result, map_record, trivial_result, HalfSpaceRegistry, MappedHalfSpace};
+use crate::common::{build_result, trivial_result, HalfSpaceRegistry, Mapped, RecordMapper};
 use crate::result::{MaxRankResult, QueryStats};
 use crate::withinleaf::CellEnumerator;
 use mrq_data::{Dataset, RecordId};
@@ -104,14 +104,12 @@ pub fn run_point(
     let mut qt = HalfSpaceQuadTree::with_config(d - 1, qt_config);
     let mut registry = HalfSpaceRegistry::default();
     let mut always_above = 0usize;
+    let mut mapper = RecordMapper::new(p);
     for &id in &incomparable {
-        match map_record(data.record(id), p) {
-            MappedHalfSpace::Usable(h) => {
-                let hid = qt.insert(h);
-                registry.push(hid, id);
-            }
-            MappedHalfSpace::AlwaysAbove => always_above += 1,
-            MappedHalfSpace::NeverAbove => {}
+        match mapper.map(data.record(id)) {
+            Mapped::Usable(row, rhs) => registry.push(qt.insert_row(row, rhs), id),
+            Mapped::AlwaysAbove => always_above += 1,
+            Mapped::NeverAbove => {}
         }
     }
     stats.halfspaces_inserted = registry.len();

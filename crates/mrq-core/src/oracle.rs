@@ -9,7 +9,7 @@
 //!   case, but exact; only suitable for small inputs and used to validate BA
 //!   and AA in the test-suite.
 
-use crate::common::{build_result, map_record, trivial_result, HalfSpaceRegistry, MappedHalfSpace};
+use crate::common::{build_result, trivial_result, HalfSpaceRegistry, Mapped, RecordMapper};
 use crate::result::{MaxRankResult, QueryStats};
 use crate::withinleaf::{process_leaf, ArrangementCell};
 use mrq_data::{partition_by_focal, Dataset, RecordId};
@@ -69,15 +69,16 @@ pub fn exhaustive(
     let mut registry = HalfSpaceRegistry::default();
     let mut halfspaces: Vec<(u32, HalfSpace)> = Vec::with_capacity(part.incomparable.len());
     let mut always_above = 0usize;
+    let mut mapper = RecordMapper::new(p);
     for &id in &part.incomparable {
-        match map_record(data.record(id), p) {
-            MappedHalfSpace::Usable(h) => {
+        match mapper.map(data.record(id)) {
+            Mapped::Usable(row, rhs) => {
                 let hid = halfspaces.len() as u32;
                 registry.push(hid, id);
-                halfspaces.push((hid, h));
+                halfspaces.push((hid, HalfSpace::new(row.to_vec(), rhs)));
             }
-            MappedHalfSpace::AlwaysAbove => always_above += 1,
-            MappedHalfSpace::NeverAbove => {}
+            Mapped::AlwaysAbove => always_above += 1,
+            Mapped::NeverAbove => {}
         }
     }
     stats.halfspaces_inserted = halfspaces.len();

@@ -52,6 +52,12 @@ pub struct QueryStats {
     pub halfspaces_inserted: usize,
     /// Number of quad-tree leaves processed by the within-leaf module.
     pub leaves_processed: usize,
+    /// Number of quad-tree leaves split by the enumeration's frontier.
+    pub nodes_split: usize,
+    /// Number of half-space/box tests those splits made: each split tests
+    /// every half-space of the leaf's `P_l` against every child quadrant
+    /// inside the permissible simplex.
+    pub box_tests: usize,
     /// Number of candidate cells whose non-emptiness was decided (by the
     /// witness cache or by an LP).
     pub cells_tested: usize,

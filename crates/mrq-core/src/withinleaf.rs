@@ -1207,7 +1207,9 @@ impl CellEnumerator {
             }
             (computed, shard_stats)
         });
-        let (_, qt, _) = shared.into_inner().expect("a frontier worker panicked");
+        let (frontier, qt, _) = shared.into_inner().expect("a frontier worker panicked");
+        stats.nodes_split += frontier.nodes_split();
+        stats.box_tests += frontier.box_tests();
         best = shared_best.load(Ordering::Relaxed);
         // Merge shard outputs in pop order so cache contents and the output
         // cell order are independent of scheduling.

@@ -8,6 +8,7 @@
 //! corners and can be computed coordinate-wise.
 
 use crate::halfspace::HalfSpace;
+use crate::vector::l2_norm;
 use crate::EPS;
 
 /// Relationship of a box with respect to an open half-space `a · x > b`.
@@ -22,17 +23,34 @@ pub enum BoxRelation {
 }
 
 /// The per-half-space part of the box test, computed once so that testing
-/// many boxes against one half-space takes no square root.
+/// many boxes against one half-space takes neither a square root nor a
+/// division.
+///
+/// The box test works in the normalised form, so that [`EPS`] has a
+/// consistent meaning whatever the magnitude of the coefficients: with
+/// `min`/`max` the extremes of `a · x` over the box, the box is contained in
+/// `a · x > b` when `min / ‖a‖ > b / ‖a‖ + EPS` and disjoint from it when
+/// `max / ‖a‖ ≤ b / ‖a‖ + EPS`.  Preparation turns both into one comparison
+/// with a **cut**: the least `f64` `x` with `x / ‖a‖ > b / ‖a‖ + EPS`.
+/// Correctly rounded division by a positive constant is monotone, so the
+/// values passing that test are exactly those `≥ cut`: the box is contained
+/// iff `min ≥ cut` and disjoint iff `max < cut`, bit for bit the decisions
+/// of the divided form.  The cut is `(b / ‖a‖ + EPS) · ‖a‖` or one of its
+/// `f64` neighbours (`next_up`/`next_down`), except where the division
+/// underflows or overflows near the boundary, where a bisection over the
+/// ordered `f64` values finds it.  A NaN threshold gives a NaN cut, and
+/// every box stays overlapping, as it does when divided.  The one case with
+/// no least value is an infinite threshold or norm (no `f64` passes); the
+/// cut is then `+∞`, and the two forms could differ only on a
+/// box whose `min` or `max` is itself infinite, which over a box inside
+/// `[0, 1]^dr` takes coefficients within a factor `dr` of `f64::MAX`.
 ///
 /// The coefficients stay with the caller (the quad-tree keeps all of them in
 /// one flat array); [`classify`](Self::classify) takes them with the box.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PreparedHalfSpace {
-    /// `‖a‖`; the box test works in the normalised form so that [`EPS`] has
-    /// a consistent meaning whatever the magnitude of the coefficients.
-    norm: f64,
-    /// `b / ‖a‖ + EPS`.
-    threshold: f64,
+    /// The least `x` with `x / ‖a‖ > b / ‖a‖ + EPS` (see the type docs).
+    cut: f64,
     /// The answer for every box when the normal is (almost) zero: the whole
     /// space (`b < −EPS`) contains it, the empty set is disjoint from it.
     degenerate: Option<BoxRelation>,
@@ -41,16 +59,45 @@ pub struct PreparedHalfSpace {
 impl PreparedHalfSpace {
     /// Prepares `h` for [`classify`](Self::classify).
     pub fn new(h: &HalfSpace) -> Self {
-        let norm = h.normal_norm();
-        let degenerate = (norm < EPS).then_some(if h.rhs < -EPS {
+        Self::for_row(&h.coeffs, h.rhs)
+    }
+
+    /// Prepares the half-space `coeffs · x > rhs`, exactly as [`new`](Self::new)
+    /// prepares the equal [`HalfSpace`].
+    pub fn for_row(coeffs: &[f64], rhs: f64) -> Self {
+        let norm = l2_norm(coeffs);
+        let degenerate = (norm < EPS).then_some(if rhs < -EPS {
             BoxRelation::Contained
         } else {
             BoxRelation::Disjoint
         });
         Self {
-            norm,
-            threshold: h.rhs / norm + EPS,
+            cut: least_above(norm, rhs / norm + EPS),
             degenerate,
+        }
+    }
+
+    /// The cut (see the type docs), or `None` for a degenerate normal,
+    /// whose relation does not depend on the box.  A caller that sums a
+    /// box's extremes itself decides with it as
+    /// [`relation`](Self::relation) does.
+    #[inline]
+    pub fn cut(&self) -> Option<f64> {
+        self.degenerate.is_none().then_some(self.cut)
+    }
+
+    /// The relation of a box over which `coeffs · x` ranges over
+    /// `[min, max]`.
+    #[inline]
+    pub fn relation(&self, min: f64, max: f64) -> BoxRelation {
+        if let Some(relation) = self.degenerate {
+            relation
+        } else if min >= self.cut {
+            BoxRelation::Contained
+        } else if max < self.cut {
+            BoxRelation::Disjoint
+        } else {
+            BoxRelation::Overlapping
         }
     }
 
@@ -74,14 +121,68 @@ impl PreparedHalfSpace {
                 max += c * l;
             }
         }
-        if min / self.norm > self.threshold {
-            BoxRelation::Contained
-        } else if max / self.norm <= self.threshold {
-            BoxRelation::Disjoint
+        self.relation(min, max)
+    }
+}
+
+/// The least `x` with `x / norm > threshold` for `norm > 0`: `+∞` when no
+/// `f64` qualifies, NaN when the threshold (or the norm) is NaN.
+///
+/// The predicate is monotone in `x`.  `threshold · norm` is the cut or its
+/// neighbour unless the division underflows or overflows near the boundary;
+/// then a bisection over the ordered `f64` values finds the cut in at most
+/// 64 further divisions.
+fn least_above(norm: f64, threshold: f64) -> f64 {
+    let above = |x: f64| x / norm > threshold;
+    let x = threshold * norm;
+    if x.is_nan() {
+        return f64::NAN;
+    }
+    if above(x) {
+        if !above(x.next_down()) {
+            return x;
+        }
+    } else if above(x.next_up()) {
+        return x.next_up();
+    }
+    if !above(f64::INFINITY) {
+        return f64::INFINITY;
+    }
+    // `above(−∞)` is false: the cut lies in (fail, pass].
+    let (mut fail, mut pass) = (order_key(f64::NEG_INFINITY), order_key(f64::INFINITY));
+    if above(x) {
+        pass = order_key(x);
+    } else {
+        fail = order_key(x);
+    }
+    while pass - fail > 1 {
+        let mid = fail + (pass - fail) / 2;
+        if above(from_order_key(mid)) {
+            pass = mid;
         } else {
-            BoxRelation::Overlapping
+            fail = mid;
         }
     }
+    from_order_key(pass)
+}
+
+/// Maps a non-NaN `f64` to a `u64` in the same order (−0.0 just below +0.0).
+fn order_key(x: f64) -> u64 {
+    let bits = x.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The inverse of [`order_key`].
+fn from_order_key(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    })
 }
 
 /// A closed axis-parallel box `[lo_1, hi_1] × … × [lo_d, hi_d]`.
@@ -333,6 +434,43 @@ mod tests {
             }
         }
         assert!(checked.iter().all(|&c| c > 100), "{checked:?}");
+    }
+
+    /// The cut is the least value passing the divided test even where the
+    /// estimate `threshold · norm` is far from it: a zero threshold with a
+    /// large norm (the division underflows for thousands of values above
+    /// zero), thresholds near the overflow limit, and the NaN and no-cut
+    /// cases.
+    #[test]
+    fn least_above_is_the_least_passing_value() {
+        for (norm, threshold) in [
+            (1e150, 0.0),
+            (1e150, -0.0),
+            (2.0, 5e-324),
+            (1e-9, 1e300),
+            (3.0, f64::MAX),
+            (0.5, -f64::MAX),
+            (1.0, 1.0),
+            (7.0, -1e-300),
+        ] {
+            let cut = least_above(norm, threshold);
+            let below = from_order_key(order_key(cut) - 1);
+            assert!(cut / norm > threshold, "{norm} {threshold} {cut}");
+            assert!(below / norm <= threshold, "{norm} {threshold} {cut}");
+        }
+        assert_eq!(least_above(1.0, f64::INFINITY), f64::INFINITY);
+        assert!(least_above(1.0, f64::NAN).is_nan());
+        for x in [
+            f64::NEG_INFINITY,
+            -1.5,
+            -0.0,
+            0.0,
+            5e-324,
+            2.0,
+            f64::INFINITY,
+        ] {
+            assert_eq!(from_order_key(order_key(x)).to_bits(), x.to_bits());
+        }
     }
 
     #[test]

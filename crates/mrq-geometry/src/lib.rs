@@ -32,8 +32,8 @@ pub use halfspace::{HalfSpace, Hyperplane};
 pub use lp::{maximize, maximize_with, LpOutcome, LpScratch, LpStatus};
 pub use polygon::{Polygon, Split};
 pub use reduced::{
-    halfline_for_record, halfspace_for_record, reduced_simplex_constraint, reduced_space_box,
-    HalfLine2d,
+    halfline_for_record, halfspace_for_record, halfspace_row_for_record,
+    reduced_simplex_constraint, reduced_space_box, HalfLine2d,
 };
 pub use region::{interval_region, CellSpec, Region};
 pub use vector::{dot, l1_norm, l2_norm, score, sub};

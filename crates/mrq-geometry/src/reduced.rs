@@ -27,6 +27,18 @@ use crate::EPS;
 /// # Panics
 /// Panics if `r` and `p` have different lengths or fewer than two dimensions.
 pub fn halfspace_for_record(r: &[f64], p: &[f64]) -> HalfSpace {
+    let mut coeffs = Vec::with_capacity(r.len().saturating_sub(1));
+    let rhs = halfspace_row_for_record(r, p, &mut coeffs);
+    HalfSpace::new(coeffs, rhs)
+}
+
+/// [`halfspace_for_record`] into a caller's buffer: replaces the contents of
+/// `coeffs` with the half-space's coefficients and returns its `rhs`, so a
+/// caller mapping many records against one focal record reuses one buffer.
+///
+/// # Panics
+/// Panics if `r` and `p` have different lengths or fewer than two dimensions.
+pub fn halfspace_row_for_record(r: &[f64], p: &[f64], coeffs: &mut Vec<f64>) -> f64 {
     assert_eq!(
         r.len(),
         p.len(),
@@ -36,8 +48,9 @@ pub fn halfspace_for_record(r: &[f64], p: &[f64]) -> HalfSpace {
     assert!(d >= 2, "MaxRank requires at least two dimensions");
     let rd = r[d - 1];
     let pd = p[d - 1];
-    let coeffs: Vec<f64> = (0..d - 1).map(|i| r[i] - rd - p[i] + pd).collect();
-    HalfSpace::new(coeffs, pd - rd)
+    coeffs.clear();
+    coeffs.extend((0..d - 1).map(|i| r[i] - rd - p[i] + pd));
+    pd - rd
 }
 
 /// The axis-parallel bounding box of the reduced query space: `[0, 1]^{d−1}`.

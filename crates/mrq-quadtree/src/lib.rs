@@ -33,14 +33,34 @@
 //! The tree is flat.  Node `i`'s box is the `2·dr` values at `i·2·dr` of one
 //! `Vec<f64>` (lower corner, then upper corner); half-space `h`'s
 //! coefficients are the `dr` values at `h·dr` of another, each stored beside
-//! a [`PreparedHalfSpace`](mrq_geometry::PreparedHalfSpace) holding its norm
-//! and threshold, so a box test takes no square root.  Containment sets are
+//! a [`PreparedHalfSpace`](mrq_geometry::PreparedHalfSpace) holding its cut,
+//! so a box test takes neither a square root nor a division.
+//! [`HalfSpaceQuadTree::insert_row`] takes the coefficients as a borrowed
+//! slice, so a caller mapping records into the tree allocates nothing per
+//! half-space.  Containment sets are
 //! chains of `(id, next)` links in one arena, appended in insertion order;
 //! a node keeps its chain's head, tail and length, its parent, its children
 //! (a contiguous index range) and, while it is a leaf, its `P_l`, which
-//! starts with room for `split_threshold + 1` ids.  A [`LeafRef`] borrows its
+//! has room for at least `split_threshold + 1` ids.  A [`LeafRef`] borrows its
 //! `lo`/`hi` corners and `P_l` straight from these arrays;
 //! [`LeafRef::bounds`] builds an owned box for the few leaves that need one.
+//!
+//! # Splitting
+//!
+//! A split walks the leaf's `P_l` once.  Every child box is cut from the
+//! same grid (`lo`, `mid`, `hi` along each dimension, `3^dr` points), so
+//! each half-space needs only the `3·dr` products `c_i · {lo_i, mid_i,
+//! hi_i}`; each surviving child's minimum and maximum of `c · x` are summed
+//! from them in coordinate order, exactly as a box test over that child
+//! sums them, and compared with the half-space's cut.  The ids go into
+//! per-child rows without a branch, and each child's containment chain and
+//! `P_l` are then appended in id order, so the tree is bit for bit the one
+//! a child-at-a-time split builds.  The kernel is compiled with a constant `dr`
+//! for `dr` = 2 and 3 (data of three and four dimensions, where that was
+//! measured to help) and once with `dr` read at run time for the rest; its
+//! buffers live in the tree and are reused by every split.  A
+//! [`Frontier`] counts the splits it makes and the box tests they take
+//! (`|P_l|` per surviving child).
 
 pub mod tree;
 

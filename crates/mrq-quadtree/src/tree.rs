@@ -135,6 +135,32 @@ pub struct HalfSpaceQuadTree {
     boxes: Vec<f64>,
     nodes: Vec<QNode>,
     links: Vec<Link>,
+    scratch: SplitScratch,
+}
+
+/// Buffers a split reuses, so that splitting allocates only the `P_l` of
+/// the children it creates.  Their contents never outlive one split, so a
+/// clone of the tree starts with empty ones.
+#[derive(Debug, Default)]
+struct SplitScratch {
+    /// The split grid: `[lo, mid, hi]` of the parent along each dimension.
+    grid: Vec<[f64; 3]>,
+    /// The child index bits of each child inside the permissible simplex.
+    masks: Vec<u32>,
+    /// Per dimension, one half-space's `[min, max]` terms over the lower
+    /// half, then over the upper half.
+    terms: Vec<[f64; 4]>,
+    /// One row of `|P_l|` ids per child: containing ids from the front,
+    /// overlapping ids from the back (in reverse).
+    ids: Vec<HalfSpaceId>,
+    /// Per child, how many ids its row holds at the front and at the back.
+    counts: Vec<(usize, usize)>,
+}
+
+impl Clone for SplitScratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl HalfSpaceQuadTree {
@@ -162,8 +188,10 @@ impl HalfSpaceQuadTree {
             boxes: [vec![0.0; dr], vec![1.0; dr]].concat(),
             nodes: Vec::new(),
             links: Vec::new(),
+            scratch: SplitScratch::default(),
         };
-        tree.push_leaf(0, NIL);
+        let partial = Vec::with_capacity(config.split_threshold + 1);
+        tree.push_leaf(0, NIL, partial);
         tree
     }
 
@@ -200,11 +228,21 @@ impl HalfSpaceQuadTree {
     /// # Panics
     /// Panics if the half-space dimensionality does not match the tree's.
     pub fn insert(&mut self, h: HalfSpace) -> HalfSpaceId {
-        assert_eq!(h.dim(), self.dr, "half-space dimensionality mismatch");
+        self.insert_row(&h.coeffs, h.rhs)
+    }
+
+    /// Inserts the half-space `coeffs · x > rhs` from a borrowed row, as
+    /// [`insert`](Self::insert) inserts the equal [`HalfSpace`], without
+    /// allocating one.
+    ///
+    /// # Panics
+    /// Panics if `coeffs` does not have the tree's dimensionality.
+    pub fn insert_row(&mut self, coeffs: &[f64], rhs: f64) -> HalfSpaceId {
+        assert_eq!(coeffs.len(), self.dr, "half-space dimensionality mismatch");
         let id = self.rhs.len() as HalfSpaceId;
-        self.tests.push(PreparedHalfSpace::new(&h));
-        self.coeffs.extend_from_slice(&h.coeffs);
-        self.rhs.push(h.rhs);
+        self.tests.push(PreparedHalfSpace::for_row(coeffs, rhs));
+        self.coeffs.extend_from_slice(coeffs);
+        self.rhs.push(rhs);
         self.insert_into(0, id);
         id
     }
@@ -225,9 +263,9 @@ impl HalfSpaceQuadTree {
         self.tests[id as usize].classify(self.coeffs_of(id), lo, hi)
     }
 
-    /// Appends an empty leaf whose box has already been pushed onto `boxes`.
-    /// Its `P_l` starts with room for the most ids a leaf holds unsplit.
-    fn push_leaf(&mut self, depth: u32, parent: u32) {
+    /// Appends a leaf whose box has already been pushed onto `boxes`, with
+    /// no containment chain yet and `partial` as its `P_l`.
+    fn push_leaf(&mut self, depth: u32, parent: u32, partial: Vec<HalfSpaceId>) {
         self.nodes.push(QNode {
             depth,
             parent,
@@ -235,7 +273,7 @@ impl HalfSpaceQuadTree {
             head: NIL,
             tail: NIL,
             containment_len: 0,
-            partial: Vec::with_capacity(self.config.split_threshold + 1),
+            partial,
         });
     }
 
@@ -272,41 +310,117 @@ impl HalfSpaceQuadTree {
     /// index bits (bit `i` selects the upper half along dimension `i`),
     /// redistributing its partial-overlap set.  Children fully outside the
     /// permissible simplex are discarded.  The children stay unsplit.
-    fn split_leaf(&mut self, node: u32) {
-        let dr = self.dr;
+    /// Returns the number of box tests made: `|P_l|` per surviving child.
+    ///
+    /// The kernel is compiled with a constant `dr` for `dr` = 2 and 3 (data
+    /// of three and four dimensions), where the compiler unrolls its
+    /// per-dimension loops and splits took about a quarter less time than in
+    /// the run-time instance, and once with `dr` read at run time for every
+    /// other `dr`.
+    fn split_leaf(&mut self, node: u32) -> usize {
+        match self.dr {
+            2 => self.split_leaf_with::<2>(node),
+            3 => self.split_leaf_with::<3>(node),
+            _ => self.split_leaf_with::<0>(node),
+        }
+    }
+
+    /// [`split_leaf`](Self::split_leaf) with `DR` the tree's `dr` as a
+    /// constant, or 0 to read it at run time.
+    ///
+    /// Every child box is cut from the same grid of `3^dr` points (`lo`,
+    /// `mid`, `hi` per dimension), so each half-space of the parent's `P_l`
+    /// needs only the `3·dr` products `c_i · {lo_i, mid_i, hi_i}`.  A
+    /// child's `min` and `max` of `c · x` are summed from them in coordinate
+    /// order from `0.0`, exactly as [`PreparedHalfSpace::classify`] sums them
+    /// over the child's box, so every relation is bit-identical to testing
+    /// each child on its own.  The ids go into per-child rows without a
+    /// branch; the children's containment chains and `P_l` are then appended
+    /// child by child in id order, as a child-at-a-time split appends them.
+    fn split_leaf_with<const DR: usize>(&mut self, node: u32) -> usize {
+        let dr = if DR == 0 { self.dr } else { DR };
+        debug_assert_eq!(dr, self.dr);
         let partial = std::mem::take(&mut self.nodes[node as usize].partial);
         let depth = self.nodes[node as usize].depth + 1;
-        let at = node as usize * 2 * dr;
         let first = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
-        for mask in 0..1usize << dr {
-            let child = u32::try_from(self.nodes.len()).expect("fewer than 2^32 nodes");
-            for upper in [false, true] {
-                for i in 0..dr {
-                    let (lo, hi) = (self.boxes[at + i], self.boxes[at + dr + i]);
-                    let mid = 0.5 * (lo + hi);
-                    self.boxes.push(match (mask >> i & 1 == 1, upper) {
-                        (false, false) => lo,
-                        (true, true) => hi,
-                        _ => mid,
-                    });
-                }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let at = node as usize * 2 * dr;
+        scratch.grid.clear();
+        scratch.grid.extend((0..dr).map(|i| {
+            let (lo, hi) = (self.boxes[at + i], self.boxes[at + dr + i]);
+            [lo, 0.5 * (lo + hi), hi]
+        }));
+        // The children's boxes, dropping quadrants completely outside
+        // Σ q_i < 1.
+        scratch.masks.clear();
+        for mask in 0..1u32 << dr {
+            let child = self.boxes.len();
+            for upper in [0, 1] {
+                let grid = scratch.grid.iter().enumerate();
+                self.boxes
+                    .extend(grid.map(|(i, g)| g[(mask >> i & 1) as usize + upper]));
             }
-            // Drop quadrants completely outside Σ q_i < 1.
-            let (lo, hi) = self.corners(child).split_at(dr);
+            let (lo, hi) = self.boxes[child..].split_at(dr);
             if self.simplex_test.classify(&self.simplex.coeffs, lo, hi) == BoxRelation::Disjoint {
-                self.boxes.truncate(child as usize * 2 * dr);
-                continue;
-            }
-            self.push_leaf(depth, node);
-            for &hid in &partial {
-                match self.classify(child, hid) {
-                    BoxRelation::Contained => self.push_containment(child, hid),
-                    BoxRelation::Overlapping => self.nodes[child as usize].partial.push(hid),
-                    BoxRelation::Disjoint => {}
-                }
+                self.boxes.truncate(child);
+            } else {
+                scratch.masks.push(mask);
             }
         }
+        let n = partial.len();
+        let children = scratch.masks.len();
+        scratch.ids.clear();
+        scratch.ids.resize(children * n, 0);
+        scratch.counts.clear();
+        scratch.counts.resize(children, (0, 0));
+        scratch.terms.clear();
+        scratch.terms.resize(dr, [0.0; 4]);
+        let (grid, terms) = (&scratch.grid[..dr], &mut scratch.terms[..dr]);
+        for &id in &partial {
+            let at = id as usize * dr;
+            let coeffs = &self.coeffs[at..at + dr];
+            let cut = self.tests[id as usize]
+                .cut()
+                .expect("a degenerate half-space never overlaps a box");
+            for ((term, &c), g) in terms.iter_mut().zip(coeffs).zip(grid) {
+                let (lo, mid, hi) = (c * g[0], c * g[1], c * g[2]);
+                *term = if c >= 0.0 {
+                    [lo, mid, mid, hi]
+                } else {
+                    [mid, lo, hi, mid]
+                };
+            }
+            let rows = scratch.ids.chunks_exact_mut(n);
+            for ((&mask, row), (front, back)) in
+                scratch.masks.iter().zip(rows).zip(&mut scratch.counts)
+            {
+                let (mut min, mut max) = (0.0, 0.0);
+                for (i, term) in terms.iter().enumerate() {
+                    let half = 2 * (mask >> i & 1) as usize;
+                    min += term[half];
+                    max += term[half + 1];
+                }
+                let contained = min >= cut;
+                let overlapping = !(contained | (max < cut));
+                row[*front] = id;
+                *front += usize::from(contained);
+                row[n - 1 - *back] = id;
+                *back += usize::from(overlapping);
+            }
+        }
+        for (j, &(front, back)) in scratch.counts.iter().enumerate() {
+            let row = &scratch.ids[j * n..(j + 1) * n];
+            let mut child_partial = Vec::with_capacity(back.max(self.config.split_threshold + 1));
+            child_partial.extend(row[n - back..].iter().rev());
+            let child = first + j as u32;
+            self.push_leaf(depth, node, child_partial);
+            for &id in &row[..front] {
+                self.push_containment(child, id);
+            }
+        }
+        self.scratch = scratch;
         self.nodes[node as usize].children = Some(first..self.nodes.len() as u32);
+        n * children
     }
 
     /// Walks the leaves of the tree as refined so far in depth-first order,
@@ -448,9 +562,23 @@ pub struct Frontier {
     /// `(|F|, child ranks on the root path, node)`; the rank path orders
     /// nodes depth-first at any depth without an overflowing numeric key.
     heap: BinaryHeap<Reverse<(usize, Vec<u32>, u32)>>,
+    nodes_split: usize,
+    box_tests: usize,
 }
 
 impl Frontier {
+    /// Number of leaves this frontier has split.
+    pub fn nodes_split(&self) -> usize {
+        self.nodes_split
+    }
+
+    /// Number of half-space/box tests its splits made: each split tests
+    /// every id of the leaf's `P_l` against every child that survives the
+    /// simplex test.
+    pub fn box_tests(&self) -> usize {
+        self.box_tests
+    }
+
     /// Whether no node is queued.
     pub fn is_empty(&self) -> bool {
         self.heap.is_empty()
@@ -483,7 +611,8 @@ impl Frontier {
                 if !tree.needs_split(node) {
                     return Some(node as usize);
                 }
-                tree.split_leaf(node);
+                self.box_tests += tree.split_leaf(node);
+                self.nodes_split += 1;
             }
             let children = tree.nodes[node as usize].children.clone().expect("split");
             for (rank, child) in children.enumerate() {

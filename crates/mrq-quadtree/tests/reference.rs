@@ -12,6 +12,11 @@
 //! * after refining to a cap `c`, even with inserts between refinements, the
 //!   flat tree's leaves with `|F_l| ≤ c` are the reference's, in walk order,
 //!   and the frontier pops them in walk order stably sorted by `|F_l|`.
+//!
+//! The flat tree splits with one kernel compiled for a constant `dr` of 2
+//! and 3 and once with `dr` read at run time; `dr` runs from 1 to 8 (data
+//! of up to nine dimensions), so every instance meets the reference, and
+//! half the half-spaces go in through `insert_row` rather than `insert`.
 
 use mrq_geometry::{reduced_simplex_constraint, BoundingBox, BoxRelation, HalfSpace};
 use mrq_quadtree::{Frontier, HalfSpaceId, HalfSpaceQuadTree, LeafRef, QuadTreeConfig};
@@ -192,24 +197,49 @@ fn insert_sequence(dr: usize, count: usize, rng: &mut StdRng) -> Vec<HalfSpace> 
     out
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+/// Inserts `h` into the flat tree through `insert` or, for every other
+/// half-space, through `insert_row`, so both entry points are covered.
+fn insert_either(tree: &mut HalfSpaceQuadTree, h: &HalfSpace) {
+    if tree.halfspace_count().is_multiple_of(2) {
+        tree.insert(h.clone());
+    } else {
+        tree.insert_row(&h.coeffs, h.rhs);
+    }
+}
 
+/// Caps the depth above `dr` = 4 so that the reference, which splits every
+/// over-threshold leaf into `2^dr` children at insert time, stays small;
+/// `dr` up to 4 keeps the full depth range.
+fn depth_cap(dr: usize, max_depth: usize) -> usize {
+    if dr <= 4 {
+        max_depth
+    } else {
+        max_depth.min(16 / dr)
+    }
+}
+
+proptest! {
+    // 192 cases over `dr` in 1..=8 give each `dr` about the 24 cases it had
+    // when the tests drew `dr` from 1..=4 with 96.
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// `dr` covers both constant-`dr` split kernels and the run-time one.
     #[test]
     fn flat_tree_matches_the_reference_builder(
-        dr in 1usize..=4,
+        dr in 1usize..=8,
         split_threshold in 1usize..=8,
         max_depth in 0usize..=5,
         count in 0usize..60,
         seed in any::<u64>(),
     ) {
+        let max_depth = depth_cap(dr, max_depth);
         let config = QuadTreeConfig { split_threshold, max_depth };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut tree = HalfSpaceQuadTree::with_config(dr, config);
         let mut reference = RefTree::new(dr, config);
         for h in insert_sequence(dr, count, &mut rng) {
-            reference.insert(h.clone());
-            tree.insert(h);
+            insert_either(&mut tree, &h);
+            reference.insert(h);
         }
         prop_assert_eq!(tree.node_count(), 1);
         refine(&mut tree, usize::MAX);
@@ -230,7 +260,7 @@ proptest! {
 
     #[test]
     fn refining_to_a_cap_matches_the_reference_leaves_under_it(
-        dr in 1usize..=4,
+        dr in 1usize..=8,
         split_threshold in 1usize..=8,
         max_depth in 0usize..=5,
         count in 0usize..60,
@@ -238,6 +268,7 @@ proptest! {
         cap in 0usize..10,
         seed in any::<u64>(),
     ) {
+        let max_depth = depth_cap(dr, max_depth);
         let config = QuadTreeConfig { split_threshold, max_depth };
         let mut rng = StdRng::seed_from_u64(seed);
         let mut tree = HalfSpaceQuadTree::with_config(dr, config);
@@ -247,12 +278,12 @@ proptest! {
         // Refine part-way through, as AA does between rounds.
         for h in early {
             reference.insert(h.clone());
-            tree.insert(h.clone());
+            insert_either(&mut tree, h);
         }
         refine(&mut tree, first_cap);
         for h in late {
             reference.insert(h.clone());
-            tree.insert(h.clone());
+            insert_either(&mut tree, h);
         }
         let popped = refine(&mut tree, cap);
         prop_assert!(tree.node_count() <= reference.nodes.len());

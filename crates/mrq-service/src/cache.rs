@@ -80,10 +80,13 @@ struct Slot<K, V> {
 
 /// A minimal O(1) LRU map (not thread safe; [`ResultCache`] wraps it in a
 /// mutex).  Kept generic so the unit tests can exercise it with small keys.
+///
+/// `slots` holds exactly the resident entries: an eviction overwrites the
+/// least recently used slot in place, and a removal moves the last slot into
+/// the hole, so a removed key and value are dropped at once.
 struct Lru<K: Eq + Hash + Clone, V> {
     map: HashMap<K, usize>,
     slots: Vec<Slot<K, V>>,
-    free: Vec<usize>,
     /// Most recently used.
     head: usize,
     /// Least recently used.
@@ -97,7 +100,6 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         Self {
             map: HashMap::new(),
             slots: Vec::new(),
-            free: Vec::new(),
             head: NIL,
             tail: NIL,
             capacity,
@@ -160,32 +162,22 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             }
             return;
         }
-        if self.map.len() == self.capacity {
+        let slot = Slot {
+            key: key.clone(),
+            value,
+            prev: NIL,
+            next: NIL,
+        };
+        let i = if self.map.len() == self.capacity {
             let lru = self.tail;
             self.unlink(lru);
             self.map.remove(&self.slots[lru].key);
-            self.free.push(lru);
             self.evictions += 1;
-        }
-        let i = match self.free.pop() {
-            Some(i) => {
-                self.slots[i] = Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                };
-                i
-            }
-            None => {
-                self.slots.push(Slot {
-                    key: key.clone(),
-                    value,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.slots.len() - 1
-            }
+            self.slots[lru] = slot;
+            lru
+        } else {
+            self.slots.push(slot);
+            self.slots.len() - 1
         };
         self.map.insert(key, i);
         self.link_front(i);
@@ -201,12 +193,40 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
             if doomed(&self.slots[i].key) {
                 self.map.remove(&self.slots[i].key);
                 self.unlink(i);
-                self.free.push(i);
+                let moved = self.release(i);
                 removed += 1;
+                if next == moved {
+                    continue; // the next slot now lives at `i`
+                }
             }
             i = next;
         }
         removed
+    }
+
+    /// Drops the unlinked, unmapped slot `i` by moving the last slot into
+    /// its place, and returns the moved slot's old index.
+    fn release(&mut self, i: usize) -> usize {
+        let last = self.slots.len() - 1;
+        self.slots.swap_remove(i);
+        if i != last {
+            let (prev, next) = (self.slots[i].prev, self.slots[i].next);
+            if prev == NIL {
+                self.head = i;
+            } else {
+                self.slots[prev].next = i;
+            }
+            if next == NIL {
+                self.tail = i;
+            } else {
+                self.slots[next].prev = i;
+            }
+            *self
+                .map
+                .get_mut(&self.slots[i].key)
+                .expect("a linked slot is mapped") = i;
+        }
+        last
     }
 
     /// Keys from most to least recently used (tests only).
@@ -456,6 +476,66 @@ mod tests {
             cache.insert(key(focal), dummy_result());
         }
         assert_eq!(cache.stats().len, 8);
+    }
+
+    /// A purge drops the purged keys and values at once, not when a later
+    /// insert reuses their slots.
+    #[test]
+    fn purged_entries_release_their_results() {
+        let mut lru: Lru<u32, Arc<MaxRankResult>> = Lru::new(128);
+        let shared = dummy_result();
+        for k in 0..64 {
+            lru.insert(k, Arc::clone(&shared));
+        }
+        lru.insert(1000, dummy_result());
+        assert_eq!(Arc::strong_count(&shared), 65);
+        assert_eq!(lru.remove_where(|&k| k < 64), 64);
+        assert_eq!(lru.len(), 1);
+        assert_eq!(Arc::strong_count(&shared), 1);
+        assert_eq!(lru.keys_by_recency(), vec![1000]);
+        assert!(lru.get(&1000).is_some());
+    }
+
+    /// Removals in any pattern keep the recency list, the map and the slots
+    /// in step with a naive model.
+    #[test]
+    fn remove_where_keeps_recency_order() {
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut lru: Lru<u64, u64> = Lru::new(12);
+        let mut model: Vec<u64> = Vec::new(); // most recent first
+        for _ in 0..2000 {
+            let k = next() % 24;
+            match next() % 4 {
+                0 => {
+                    let modulus = next() % 5 + 2;
+                    let removed = lru.remove_where(|key| key % modulus == 0);
+                    let before = model.len();
+                    model.retain(|key| key % modulus != 0);
+                    assert_eq!(removed as usize, before - model.len());
+                }
+                1 => {
+                    if lru.get(&k).is_some() {
+                        model.retain(|&key| key != k);
+                        model.insert(0, k);
+                    }
+                }
+                _ => {
+                    lru.insert(k, k * 10);
+                    model.retain(|&key| key != k);
+                    model.insert(0, k);
+                    model.truncate(12);
+                }
+            }
+            assert_eq!(lru.keys_by_recency(), model);
+            assert_eq!(lru.len(), model.len());
+            assert_eq!(lru.slots.len(), model.len());
+        }
     }
 
     #[test]
