@@ -257,10 +257,7 @@ impl Client {
     }
 
     fn reader(stream: TcpStream) -> BufReader<DeadlineStream> {
-        BufReader::new(DeadlineStream {
-            stream,
-            deadline: None,
-        })
+        BufReader::new(DeadlineStream::new(stream, None))
     }
 
     /// Next value of the deterministic jitter stream.
@@ -966,6 +963,32 @@ mod tests {
             }
         );
         drop(sender.join().unwrap());
+    }
+
+    #[test]
+    fn a_timed_out_wait_leaves_no_timeout_on_the_next_round_trip() {
+        // `wait_notify` arms the socket's read timeout (after a round trip
+        // has cleared it once); the round trip after it must wait without
+        // one, however late the reply comes.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut client = Client::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        let responder = std::thread::spawn(move || {
+            let mut writer = peer.try_clone().unwrap();
+            let mut reader = BufReader::new(peer);
+            for delay in [0, 200] {
+                let request = read_frame(&mut reader).unwrap().expect("request frame");
+                assert!(request.contains("\"ping\""), "{request}");
+                std::thread::sleep(Duration::from_millis(delay));
+                write_frame(&mut writer, "{\"ok\":true,\"pong\":true}").unwrap();
+            }
+            reader
+        });
+        client.ping().unwrap();
+        let got = client.wait_notify(Some(Duration::from_millis(50))).unwrap();
+        assert_eq!(got, None);
+        client.ping().unwrap();
+        drop(responder.join().unwrap());
     }
 
     #[test]

@@ -611,10 +611,10 @@ fn read_head_line(reader: &mut impl BufRead) -> std::io::Result<Option<String>> 
 fn serve_scrape(stream: TcpStream, service: &Arc<MrqService>) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
-    let mut reader = BufReader::new(DeadlineStream {
+    let mut reader = BufReader::new(DeadlineStream::new(
         stream,
-        deadline: Some(Instant::now() + SCRAPE_BUDGET),
-    });
+        Some(Instant::now() + SCRAPE_BUDGET),
+    ));
     let Some(request_line) = read_head_line(&mut reader)? else {
         return Ok(());
     };
@@ -632,12 +632,18 @@ fn serve_scrape(stream: TcpStream, service: &Arc<MrqService>) -> std::io::Result
     } else {
         ("404 Not Found", "not found: scrape GET /metrics\n".into())
     };
-    write!(
-        writer,
+    write_response(&mut writer, status, &body)
+}
+
+/// Writes one HTTP/1.0 response with a single `write_all`, so it leaves as
+/// one segment rather than one per formatted piece.
+fn write_response(w: &mut impl Write, status: &str, body: &str) -> std::io::Result<()> {
+    let response = format!(
         "HTTP/1.0 {status}\r\nContent-Type: {METRICS_CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )?;
-    writer.flush()
+    );
+    w.write_all(response.as_bytes())?;
+    w.flush()
 }
 
 #[cfg(test)]
@@ -863,6 +869,19 @@ mod tests {
             .unwrap();
         stream.read_to_string(&mut reply).unwrap();
         reply
+    }
+
+    #[test]
+    fn the_scrape_response_is_one_write() {
+        let body = render_metrics(&synthetic_stats());
+        let mut w = crate::protocol::CountingWriter::default();
+        write_response(&mut w, "200 OK", &body).unwrap();
+        assert_eq!(w.writes, 1);
+        let expected = format!(
+            "HTTP/1.0 200 OK\r\nContent-Type: {METRICS_CONTENT_TYPE}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+            body.len()
+        );
+        assert_eq!(w.bytes, expected.as_bytes());
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //! byte stream human-readable (`nc` output looks like lines).  The payload
 //! is a strict subset of JSON — objects, arrays, strings, finite numbers,
 //! booleans, `null` — implemented in [`json`] with no external crates.
+//! Every sender here hands a frame to the socket in one write, so it
+//! usually crosses loopback as one segment; [`read_frame`] accepts any
+//! segmentation.
 //!
 //! # Requests
 //!
@@ -73,12 +76,20 @@ pub const MAX_FRAME_BYTES: usize = 16 * 1024 * 1024;
 /// grow the header buffer without bound.
 pub const MAX_HEADER_BYTES: usize = 32;
 
-/// Writes one frame.
+/// Writes one frame with a single `write_all`, so over a `TCP_NODELAY`
+/// socket it leaves as one segment rather than one per piece.
 pub fn write_frame(w: &mut impl Write, payload: &str) -> std::io::Result<()> {
-    w.write_all(payload.len().to_string().as_bytes())?;
-    w.write_all(b"\n")?;
-    w.write_all(payload.as_bytes())?;
+    let mut frame = Vec::with_capacity(payload.len() + 8);
+    encode_frame(&mut frame, payload);
+    w.write_all(&frame)?;
     w.flush()
+}
+
+/// Appends one frame, `length "\n" payload`, to `buf`.
+pub(crate) fn encode_frame(buf: &mut Vec<u8>, payload: &str) {
+    buf.extend_from_slice(payload.len().to_string().as_bytes());
+    buf.push(b'\n');
+    buf.extend_from_slice(payload.as_bytes());
 }
 
 /// Reads one frame; `Ok(None)` on clean EOF before any byte of a frame.
@@ -129,31 +140,76 @@ fn truncated(msg: &str) -> std::io::Error {
     std::io::Error::new(ErrorKind::UnexpectedEof, msg)
 }
 
+/// A writer that keeps its bytes and counts its `write` calls, for tests
+/// that pin how many writes (and so segments) a message takes.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) bytes: Vec<u8>,
+    pub(crate) writes: usize,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 /// A socket whose reads share one deadline: each `read` arms the socket's
 /// read timeout with whatever time is left, so the deadline bounds the
 /// whole sequence of reads rather than each one.  Once it has passed, a
 /// read fails with `TimedOut` without touching the socket.  `None` blocks
 /// without limit.  Behind a `BufReader`, reads the buffer can serve never
 /// reach the socket at all.
+///
+/// The stream remembers whether the socket's timeout is known to be off,
+/// so a deadline-free read makes no `setsockopt` call unless a read with a
+/// deadline armed the timeout since the last one cleared it.  An idle wait
+/// therefore never inherits an expired timeout.
 #[derive(Debug)]
 pub(crate) struct DeadlineStream {
-    pub(crate) stream: TcpStream,
+    stream: TcpStream,
     pub(crate) deadline: Option<Instant>,
+    /// The socket's read timeout is known to be off.
+    timeout_clear: bool,
+}
+
+impl DeadlineStream {
+    /// Wraps `stream`, whose read timeout is not assumed to be off: the
+    /// first deadline-free read clears it.
+    pub(crate) fn new(stream: TcpStream, deadline: Option<Instant>) -> Self {
+        Self {
+            stream,
+            deadline,
+            timeout_clear: false,
+        }
+    }
 }
 
 impl Read for DeadlineStream {
     fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let timeout = match self.deadline {
-            None => None,
+        match self.deadline {
+            None if self.timeout_clear => {}
+            None => {
+                self.stream.set_read_timeout(None)?;
+                self.timeout_clear = true;
+            }
             Some(deadline) => {
                 let left = deadline.saturating_duration_since(Instant::now());
                 if left.is_zero() {
                     return Err(ErrorKind::TimedOut.into());
                 }
-                Some(left)
+                self.timeout_clear = false;
+                self.stream.set_read_timeout(Some(left))?;
             }
-        };
-        self.stream.set_read_timeout(timeout)?;
+        }
         // An expired socket timeout reads as `WouldBlock` on some platforms.
         self.stream.read(buf).map_err(|e| match e.kind() {
             ErrorKind::WouldBlock => ErrorKind::TimedOut.into(),
@@ -1138,6 +1194,16 @@ mod tests {
         );
         assert_eq!(read_frame(&mut reader).unwrap().as_deref(), Some(""));
         assert_eq!(read_frame(&mut reader).unwrap(), None);
+    }
+
+    #[test]
+    fn a_frame_is_one_write_of_the_same_bytes() {
+        for payload in ["{\"cmd\":\"ping\"}", "", "{\"s\":\"\u{1F600}\"}"] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, payload).unwrap();
+            assert_eq!(w.writes, 1, "{payload:?}");
+            assert_eq!(w.bytes, format!("{}\n{payload}", payload.len()).as_bytes());
+        }
     }
 
     #[test]

@@ -302,10 +302,7 @@ fn serve_frames(
     mailbox: &Arc<NotifyMailbox>,
     config: ServerConfig,
 ) -> std::io::Result<()> {
-    let mut reader = BufReader::new(DeadlineStream {
-        stream,
-        deadline: None,
-    });
+    let mut reader = BufReader::new(DeadlineStream::new(stream, None));
     loop {
         // Block without a deadline until a frame's first byte arrives, so an
         // idle connection (a subscriber waiting for pushes) is never reaped;
@@ -775,6 +772,41 @@ mod tests {
         assert!(roundtrip(&mut stream, "{\"cmd\":\"ping\"}").contains("\"pong\":true"));
         std::thread::sleep(Duration::from_millis(300));
         assert!(roundtrip(&mut stream, "{\"cmd\":\"ping\"}").contains("\"pong\":true"));
+        assert_eq!(server.service().stats().reliability.idle_disconnects, 0);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_frame_in_pieces_is_answered_and_its_deadline_does_not_outlive_it() {
+        // Digits, newline and payload as three writes, 20 ms apart: the
+        // server reads the newline and the payload under the frame's
+        // deadline.  That deadline must be cleared before the next idle
+        // wait, which here lasts longer than the idle timeout.
+        let server = demo_server_with(ServerConfig {
+            idle_timeout: Some(Duration::from_millis(100)),
+            ..ServerConfig::default()
+        });
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let mut writer = stream.try_clone().unwrap();
+        let payload = "{\"cmd\":\"query\",\"dataset\":\"demo\",\"focal\":5}";
+        let length = payload.len().to_string();
+        for (i, piece) in [length.as_str(), "\n", payload].into_iter().enumerate() {
+            if i > 0 {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            writer.write_all(piece.as_bytes()).unwrap();
+        }
+        let mut reader = BufReader::new(stream);
+        let answer = read_frame(&mut reader).unwrap().expect("answer frame");
+        assert!(answer.contains("\"k_star\":3"), "{answer}");
+        std::thread::sleep(Duration::from_millis(300));
+        write_frame(&mut writer, "{\"cmd\":\"ping\"}").unwrap();
+        let pong = read_frame(&mut reader).unwrap().expect("pong frame");
+        assert!(pong.contains("\"pong\":true"), "{pong}");
         assert_eq!(server.service().stats().reliability.idle_disconnects, 0);
         server.shutdown();
     }

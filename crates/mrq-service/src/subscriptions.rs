@@ -26,7 +26,7 @@
 //! versions still arrive in order.
 
 use crate::error::ServiceError;
-use crate::protocol::{notify_payload, write_frame};
+use crate::protocol::{encode_frame, notify_payload};
 use crate::registry::DatasetEntry;
 use crate::service::QueryAnswer;
 use crate::sync::lock_or_recover;
@@ -34,6 +34,7 @@ use mrq_core::maintain::{shift_result, triage_delete, triage_insert, DeltaTriage
 use mrq_core::{Algorithm, MaxRankResult};
 use mrq_data::{RecordId, Update};
 use std::collections::{HashMap, VecDeque};
+use std::io::Write;
 use std::net::{Shutdown, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -173,13 +174,7 @@ impl Outbox {
         let Some(writer) = self.writer.as_mut() else {
             return Ok(()); // in process the events wait for `drain`
         };
-        let written = reply
-            .map_or(Ok(()), |reply| write_frame(writer, reply))
-            .and_then(|()| {
-                self.queue
-                    .drain(..)
-                    .try_for_each(|event| write_frame(writer, &notify_payload(&event)))
-            });
+        let written = write_frames(writer, reply, &mut self.queue);
         if written.is_err() {
             let _ = writer.shutdown(Shutdown::Both);
             self.writer = None;
@@ -188,6 +183,28 @@ impl Outbox {
         }
         written
     }
+}
+
+/// Encodes `reply`, if any, and then every event of `queue` (emptying it)
+/// into one buffer and writes it with a single `write_all`, so a reply and
+/// the `NOTIFY`s behind it leave together.  Writes nothing when there is
+/// nothing to send.
+fn write_frames(
+    writer: &mut impl Write,
+    reply: Option<&str>,
+    queue: &mut VecDeque<NotifyEvent>,
+) -> std::io::Result<()> {
+    let mut frames = Vec::new();
+    if let Some(reply) = reply {
+        encode_frame(&mut frames, reply);
+    }
+    for event in queue.drain(..) {
+        encode_frame(&mut frames, &notify_payload(&event));
+    }
+    if frames.is_empty() {
+        return Ok(());
+    }
+    writer.write_all(&frames)
 }
 
 /// Mutable part of a subscription: the resident result and the dataset
@@ -467,7 +484,7 @@ impl SubscriptionBook {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::read_frame;
+    use crate::protocol::{read_frame, write_frame, CountingWriter};
     use std::io::BufReader;
     use std::net::TcpListener;
     use std::time::Instant;
@@ -502,6 +519,27 @@ mod tests {
         assert_eq!(reply, "{\"ok\":true}");
         let notify = read_frame(&mut reader).unwrap().expect("NOTIFY frame");
         assert!(notify.contains("\"notify\":true"), "{notify}");
+    }
+
+    #[test]
+    fn a_reply_and_its_queued_notifies_leave_in_one_write() {
+        let mut queue: VecDeque<_> = (1..=3).map(|v| cancelled(v, format!("r{v}"))).collect();
+        let mut expected = Vec::new();
+        write_frame(&mut expected, "{\"ok\":true}").unwrap();
+        for event in &queue {
+            write_frame(&mut expected, &notify_payload(event)).unwrap();
+        }
+        let mut w = CountingWriter::default();
+        write_frames(&mut w, Some("{\"ok\":true}"), &mut queue).unwrap();
+        assert_eq!(w.writes, 1);
+        assert_eq!(
+            w.bytes, expected,
+            "the bytes are those of frame-by-frame writes"
+        );
+        assert!(queue.is_empty());
+        // Nothing to send: no write at all.
+        write_frames(&mut w, None, &mut queue).unwrap();
+        assert_eq!(w.writes, 1);
     }
 
     #[test]
