@@ -39,7 +39,7 @@ pub mod query;
 pub mod result;
 pub mod withinleaf;
 
-pub use maintain::{classify_delta, shift_result, triage_delete, triage_insert};
-pub use maintain::{DeltaClass, DeltaTriage};
+pub use maintain::{classify_delta, shift_result, triage_batch, triage_delete, triage_insert};
+pub use maintain::{BatchTriage, DeltaClass, DeltaTriage, TriageTally};
 pub use query::{Algorithm, MaxRankConfig, MaxRankQuery};
 pub use result::{MaxRankResult, QueryStats, ResultRegion};

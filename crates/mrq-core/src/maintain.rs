@@ -46,7 +46,7 @@
 //! deletes re-enumerate.
 
 use crate::result::MaxRankResult;
-use mrq_data::{classify, DomRelation};
+use mrq_data::{classify, Dataset, DomRelation, Update};
 use mrq_geometry::{halfspace_for_record, BoxRelation};
 
 /// Relationship of one delta record to a resident result, before the
@@ -137,6 +137,74 @@ pub fn triage_delete(result: &MaxRankResult, focal: &[f64], row: &[f64]) -> Delt
         // result window; missing the stored regions is not enough.
         DeltaClass::MissesResult | DeltaClass::CrossesResult => DeltaTriage::ReEnumerate,
     }
+}
+
+/// Verdict of triaging a whole update batch against a resident result.
+#[derive(Debug, Clone)]
+pub enum BatchTriage {
+    /// No delta of the batch changes the result: it is exact at the new
+    /// version as it stands.
+    Unaffected,
+    /// Every delta is unaffected or a uniform shift, and the shifts do not
+    /// cancel out: the carried result is the resident one, shifted.
+    Shifted(MaxRankResult),
+    /// Some delta has no cheap certificate: re-run the evaluation.
+    ReEnumerate,
+}
+
+/// How the deltas of one batch resolved, counted up to and including the
+/// first that needs re-enumeration (which decides the batch).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TriageTally {
+    /// Deltas examined.
+    pub triaged: u64,
+    /// Deltas certified unaffected.
+    pub unaffected: u64,
+    /// Deltas resolved by a uniform rank shift.
+    pub shifted: u64,
+}
+
+/// Triages an applied update batch against a result resident from the
+/// batch's parent version.  `focal` is the focal record's row and `data`
+/// the dataset after the batch (tombstoned slots keep the deleted rows
+/// readable).  Deltas are classified in batch order; the first that needs
+/// re-enumeration decides the batch.  This is the one maintenance rule of
+/// the service: its standing queries and its result cache both carry a
+/// result across an update through it.
+///
+/// # Panics
+/// Panics if a row's dimensionality differs from `focal`'s, or if a delete
+/// names an id `data` never had.
+pub fn triage_batch(
+    result: &MaxRankResult,
+    focal: &[f64],
+    batch: &[Update],
+    data: &Dataset,
+) -> (BatchTriage, TriageTally) {
+    let mut tally = TriageTally::default();
+    let mut shift = 0i32;
+    for update in batch {
+        tally.triaged += 1;
+        let verdict = match update {
+            Update::Insert(row) => triage_insert(result, focal, row),
+            Update::Delete(id) => triage_delete(result, focal, data.record(*id)),
+        };
+        match verdict {
+            DeltaTriage::Unaffected => tally.unaffected += 1,
+            DeltaTriage::RankShift(by) => {
+                tally.shifted += 1;
+                shift += by;
+            }
+            DeltaTriage::ReEnumerate => return (BatchTriage::ReEnumerate, tally),
+        }
+    }
+    // Shifts that cancel out leave every order where it was.
+    let verdict = if shift == 0 {
+        BatchTriage::Unaffected
+    } else {
+        BatchTriage::Shifted(shift_result(result, shift))
+    };
+    (verdict, tally)
 }
 
 /// Applies a uniform rank shift to a resident result: `k*` and every region
@@ -269,6 +337,44 @@ mod tests {
             ob.sort_unstable();
             assert_eq!(oa, ob);
         }
+    }
+
+    #[test]
+    fn batch_triage_sums_shifts_and_stops_at_the_first_reenumeration() {
+        let (data, tree) = figure1();
+        let result = eval(&data, &tree, 5);
+        let p = data.record(5);
+        let dominating = Update::Insert(vec![0.95, 0.95]);
+        let dominated = Update::Insert(vec![0.05, 0.05]);
+        let (verdict, tally) =
+            triage_batch(&result, p, &[dominating.clone(), dominated.clone()], &data);
+        match verdict {
+            BatchTriage::Shifted(shifted) => {
+                assert_eq!(shifted.k_star, result.k_star + 1);
+                assert_eq!(shifted.regions.len(), result.regions.len());
+            }
+            other => panic!("expected a shift, got {other:?}"),
+        }
+        assert_eq!(
+            tally,
+            TriageTally {
+                triaged: 2,
+                unaffected: 1,
+                shifted: 1
+            }
+        );
+        // A dominator in and a dominator out cancel out.
+        let (verdict, tally) = triage_batch(&result, p, &[dominating, Update::Delete(0)], &data);
+        assert!(matches!(verdict, BatchTriage::Unaffected));
+        assert_eq!(tally.shifted, 2);
+        // Record 2 is incomparable: its delete decides the batch, and the
+        // deltas behind it are not examined.
+        let (verdict, tally) =
+            triage_batch(&result, p, &[Update::Delete(2), dominated.clone()], &data);
+        assert!(matches!(verdict, BatchTriage::ReEnumerate));
+        assert_eq!(tally.triaged, 1);
+        let (verdict, _) = triage_batch(&result, p, &[dominated], &data);
+        assert!(matches!(verdict, BatchTriage::Unaffected));
     }
 
     #[test]

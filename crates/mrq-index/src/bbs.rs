@@ -20,9 +20,8 @@
 //! out: the structure maintains the skyline of the *incomparable* records
 //! only, which is exactly what AA consumes.
 //!
-//! Nothing is allocated per entry.  A heap item is the entry's key and a
-//! reference to the entry itself, borrowed from the tree the structure
-//! already borrows; the live skyline keeps its points as references into the
+//! Nothing is allocated per entry.  A heap item is the entry's key and its
+//! position in the tree the structure already borrows; the live skyline keeps its points as references into the
 //! tree and, for the dominance scans, once more as one flat array.  The
 //! deferral buckets sit in a vector in step with the live skyline (bucket
 //! `i` belongs to skyline record `i`), so expanding a record `swap_remove`s
@@ -31,31 +30,39 @@
 //! [`crate::k_skyband`] walks the tree with the same heap items.
 
 use crate::iostats::record_read;
-use crate::rstar::{Child, Entry, RStarTree};
+use crate::rstar::{Child, EntryRef, RStarTree};
 use mrq_data::RecordId;
 use std::collections::BinaryHeap;
 
-/// A heap item of a best-first traversal: an entry (sub-tree or record)
-/// borrowed from the tree, keyed by the L1 norm of its upper corner (best
-/// possible attribute sum), popped largest first.
+/// A heap item of a best-first traversal: an entry (sub-tree or record),
+/// as its node and slot in the tree, keyed by the L1 norm of its upper
+/// corner (best possible attribute sum), popped largest first.
 #[derive(Clone, Copy)]
-pub(crate) struct HeapItem<'a> {
+pub(crate) struct HeapItem {
     key: f64,
-    pub(crate) entry: &'a Entry,
+    node: u32,
+    slot: u32,
 }
 
-impl PartialEq for HeapItem<'_> {
+impl HeapItem {
+    /// The entry this item stands for.
+    pub(crate) fn entry<'a>(&self, tree: &'a RStarTree) -> EntryRef<'a> {
+        tree.nodes[self.node as usize].entry(self.slot as usize)
+    }
+}
+
+impl PartialEq for HeapItem {
     fn eq(&self, other: &Self) -> bool {
         self.key == other.key
     }
 }
-impl Eq for HeapItem<'_> {}
-impl PartialOrd for HeapItem<'_> {
+impl Eq for HeapItem {}
+impl PartialOrd for HeapItem {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for HeapItem<'_> {
+impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.key
             .partial_cmp(&other.key)
@@ -64,12 +71,13 @@ impl Ord for HeapItem<'_> {
 }
 
 /// Reads node `idx` (one page read) and pushes its entries, in node order.
-pub(crate) fn read_node<'a>(tree: &'a RStarTree, idx: usize, heap: &mut BinaryHeap<HeapItem<'a>>) {
+pub(crate) fn read_node(tree: &RStarTree, idx: usize, heap: &mut BinaryHeap<HeapItem>) {
     record_read();
-    for entry in &tree.nodes[idx].entries {
+    for (slot, entry) in tree.nodes[idx].entries().enumerate() {
         heap.push(HeapItem {
-            key: entry.mbr.hi.iter().sum(),
-            entry,
+            key: entry.hi().iter().sum(),
+            node: idx as u32,
+            slot: slot as u32,
         });
     }
 }
@@ -87,7 +95,7 @@ pub struct IncrementalSkyline<'a> {
     tree: &'a RStarTree,
     focal: Vec<f64>,
     focal_id: Option<RecordId>,
-    heap: BinaryHeap<HeapItem<'a>>,
+    heap: BinaryHeap<HeapItem>,
     /// Live skyline: record id and its point, borrowed from the tree.
     skyline: Vec<(RecordId, &'a [f64])>,
     /// The live skyline's points again, flat with stride `d`, in step with
@@ -95,9 +103,9 @@ pub struct IncrementalSkyline<'a> {
     points: Vec<f64>,
     /// Deferral buckets, in step with `skyline`: `buckets[i]` holds the
     /// entries whose upper corner `skyline[i]` is the first to dominate.
-    buckets: Vec<Vec<HeapItem<'a>>>,
+    buckets: Vec<Vec<HeapItem>>,
     /// Flushed (empty) buckets, kept for the next records to join.
-    spare: Vec<Vec<HeapItem<'a>>>,
+    spare: Vec<Vec<HeapItem>>,
     /// Records that have been expanded (removed from the skyline for good).
     expanded: Vec<RecordId>,
 }
@@ -175,8 +183,8 @@ impl<'a> IncrementalSkyline<'a> {
     fn drain(&mut self) {
         let d = self.focal.len();
         while let Some(item) = self.heap.pop() {
-            let entry = item.entry;
-            let (lo, hi) = (entry.mbr.lo.as_slice(), entry.mbr.hi.as_slice());
+            let entry = item.entry(self.tree);
+            let (lo, hi) = (entry.lo(), entry.hi());
             // Sub-trees (or records) with no incomparable record are
             // irrelevant to the incomparable skyline.
             if only_comparable(lo, hi, &self.focal) {

@@ -4,8 +4,12 @@
 //! way the experiment harness builds the index over the large synthetic and
 //! simulated-real datasets before running queries (the paper pre-builds its
 //! R\*-trees the same way).
+//!
+//! Each level's entries sit in one column-wise [`Node`] used as a list, and
+//! the tiling sorts positions into it, so no entry is copied until it lands
+//! in its node.
 
-use super::node::{Child, Entry, Node};
+use super::node::{Child, Node};
 use super::RStarTree;
 use mrq_data::Dataset;
 
@@ -13,7 +17,10 @@ impl RStarTree {
     pub(crate) fn str_bulk_load(&mut self, data: &Dataset) {
         // `Dataset::iter` yields live records only, so a bulk load over a
         // mutated dataset matches an incrementally maintained tree.
-        let mut entries: Vec<Entry> = data.iter().map(|(id, r)| Entry::record(id, r)).collect();
+        let mut entries = Node::with_capacity(0, self.dims, data.live_len());
+        for (id, r) in data.iter() {
+            entries.push(r, r, 1, Child::Record(id));
+        }
         self.len = entries.len();
         if entries.is_empty() {
             return;
@@ -23,9 +30,9 @@ impl RStarTree {
         self.free.clear();
         let mut level = 0u32;
         loop {
-            let parents = self.pack_level(entries, level);
+            let parents = self.pack_level(&entries, level);
             if parents.len() == 1 {
-                match parents[0].child {
+                match parents.entry(0).child {
                     Child::Node(idx) => {
                         self.root = idx as usize;
                         self.height = level;
@@ -41,86 +48,87 @@ impl RStarTree {
 
     /// Packs one level's entries into nodes, returning the entries describing
     /// the created nodes (for the next level up).
-    fn pack_level(&mut self, entries: Vec<Entry>, level: u32) -> Vec<Entry> {
+    fn pack_level(&mut self, entries: &Node, level: u32) -> Node {
         let cap = self.config.max_entries;
         let min = self.config.min_entries;
-        let groups = str_tile(entries, 0, self.dims, cap, min);
-        let mut parents = Vec::with_capacity(groups.len());
+        let center = |i: usize, dim: usize| {
+            let e = entries.entry(i);
+            e.lo()[dim] + e.hi()[dim]
+        };
+        let groups = str_tile(
+            (0..entries.len()).collect(),
+            0,
+            self.dims,
+            cap,
+            min,
+            &center,
+        );
+        let mut parents = Node::with_capacity(level + 1, self.dims, groups.len());
         for group in groups {
             debug_assert!(!group.is_empty());
-            let node = Node {
-                level,
-                entries: group,
-            };
+            let mut node = Node::with_capacity(level, self.dims, group.len());
+            for i in group {
+                let e = entries.entry(i);
+                node.push(e.lo(), e.hi(), e.count, e.child);
+            }
             let idx = self.alloc_node(node);
-            parents.push(self.make_node_entry(idx));
+            parents.push_entry(&self.make_node_entry(idx));
         }
         parents
     }
 }
 
-/// Recursively tiles entries along successive dimensions (classic STR),
-/// producing groups of at most `cap` entries and — except when there are too
-/// few entries overall — at least `min` entries.
+/// Recursively tiles entry positions along successive dimensions (classic
+/// STR), producing groups of at most `cap` entries and — except when there
+/// are too few entries overall — at least `min` entries.  `center(i, dim)`
+/// is twice the centre of entry `i` along `dim`, the sort key.
 fn str_tile(
-    mut entries: Vec<Entry>,
+    mut order: Vec<usize>,
     dim: usize,
     dims: usize,
     cap: usize,
     min: usize,
-) -> Vec<Vec<Entry>> {
-    if entries.len() <= cap {
-        return vec![entries];
+    center: &impl Fn(usize, usize) -> f64,
+) -> Vec<Vec<usize>> {
+    if order.len() <= cap {
+        return vec![order];
     }
-    let node_count = entries.len().div_ceil(cap);
+    let node_count = order.len().div_ceil(cap);
+    let sort_by_center = |order: &mut Vec<usize>| {
+        order.sort_by(|&a, &b| {
+            center(a, dim)
+                .partial_cmp(&center(b, dim))
+                .unwrap_or(std::cmp::Ordering::Equal)
+        });
+    };
     if dim + 1 >= dims {
-        sort_by_center(&mut entries, dim);
-        return chunk_balanced(entries, cap, min);
+        sort_by_center(&mut order);
+        return chunk_balanced(order, cap, min);
     }
     // Number of slabs along this dimension ≈ node_count^(1/remaining_dims).
     let remaining = (dims - dim) as f64;
     let slabs = (node_count as f64).powf(1.0 / remaining).ceil() as usize;
     let slabs = slabs.clamp(1, node_count);
-    sort_by_center(&mut entries, dim);
-    let per_slab = entries.len().div_ceil(slabs);
+    sort_by_center(&mut order);
+    let per_slab = order.len().div_ceil(slabs);
     let mut out = Vec::new();
-    let mut rest = entries;
-    while !rest.is_empty() {
-        let take = per_slab.min(rest.len());
-        let slab: Vec<Entry> = rest.drain(..take).collect();
-        out.extend(str_tile(slab, dim + 1, dims, cap, min));
+    for slab in order.chunks(per_slab) {
+        out.extend(str_tile(slab.to_vec(), dim + 1, dims, cap, min, center));
     }
     out
 }
 
-fn sort_by_center(entries: &mut [Entry], dim: usize) {
-    entries.sort_by(|a, b| {
-        let ca = a.mbr.lo[dim] + a.mbr.hi[dim];
-        let cb = b.mbr.lo[dim] + b.mbr.hi[dim];
-        ca.partial_cmp(&cb).unwrap_or(std::cmp::Ordering::Equal)
-    });
-}
-
 /// Splits a sorted run into chunks of `cap`, rebalancing the tail so no chunk
 /// falls below `min` (when the run is large enough to allow it).
-fn chunk_balanced(entries: Vec<Entry>, cap: usize, min: usize) -> Vec<Vec<Entry>> {
-    let total = entries.len();
-    let mut chunks: Vec<Vec<Entry>> = Vec::with_capacity(total.div_ceil(cap));
-    let mut it = entries.into_iter();
-    loop {
-        let chunk: Vec<Entry> = it.by_ref().take(cap).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        chunks.push(chunk);
-    }
+fn chunk_balanced(order: Vec<usize>, cap: usize, min: usize) -> Vec<Vec<usize>> {
+    let mut chunks: Vec<Vec<usize>> = order.chunks(cap).map(<[usize]>::to_vec).collect();
     if chunks.len() >= 2 {
         let last_len = chunks.last().map(|c| c.len()).unwrap_or(0);
         if last_len < min {
             let deficit = min - last_len;
             let prev = chunks.len() - 2;
             if chunks[prev].len() >= min + deficit {
-                let moved: Vec<Entry> = {
+                let moved: Vec<usize> = {
                     let prev_chunk = &mut chunks[prev];
                     let at = prev_chunk.len() - deficit;
                     prev_chunk.split_off(at)
@@ -135,29 +143,27 @@ fn chunk_balanced(entries: Vec<Entry>, cap: usize, min: usize) -> Vec<Vec<Entry>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrq_data::RecordId;
-
-    fn entry(id: RecordId, x: f64) -> Entry {
-        Entry::record(id, &[x, 0.5])
-    }
 
     #[test]
     fn chunk_balanced_avoids_tiny_tail() {
-        let entries: Vec<Entry> = (0..21).map(|i| entry(i, i as f64 / 21.0)).collect();
-        let chunks = chunk_balanced(entries, 10, 4);
+        let chunks = chunk_balanced((0..21).collect(), 10, 4);
         let sizes: Vec<usize> = chunks.iter().map(|c| c.len()).collect();
         assert_eq!(sizes.iter().sum::<usize>(), 21);
         assert!(sizes.iter().all(|&s| s >= 4), "sizes {sizes:?}");
+        // The tail borrows from its neighbour, keeping the sorted order.
+        assert_eq!(chunks.concat(), (0..21).collect::<Vec<_>>());
     }
 
     #[test]
     fn str_tile_group_sizes() {
-        let entries: Vec<Entry> = (0..137)
-            .map(|i| entry(i, (i as f64 * 0.37) % 1.0))
-            .collect();
-        let groups = str_tile(entries, 0, 2, 16, 6);
+        let x = |i: usize| (i as f64 * 0.37) % 1.0;
+        let center = |i: usize, dim: usize| if dim == 0 { 2.0 * x(i) } else { 1.0 };
+        let groups = str_tile((0..137).collect(), 0, 2, 16, 6, &center);
         let total: usize = groups.iter().map(|g| g.len()).sum();
         assert_eq!(total, 137);
         assert!(groups.iter().all(|g| g.len() <= 16));
+        let mut all = groups.concat();
+        all.sort_unstable();
+        assert_eq!(all, (0..137).collect::<Vec<_>>());
     }
 }

@@ -16,10 +16,11 @@
 //! (one read per node visited, including the dead ends of the containment
 //! search).
 
-use super::node::{Child, Entry};
+use super::node::{Child, Node};
 use super::RStarTree;
 use crate::iostats::record_read;
 use mrq_data::RecordId;
+use mrq_geometry::EPS;
 
 impl RStarTree {
     /// Removes record `id` located at `point`, returning whether it was
@@ -39,11 +40,10 @@ impl RStarTree {
         }
         let leaf = *path.last().expect("find_leaf pushed the leaf");
         let pos = self.nodes[leaf]
-            .entries
-            .iter()
-            .position(|e| e.child == Child::Record(id) && e.mbr.lo == point)
+            .entries()
+            .position(|e| e.child == Child::Record(id) && e.lo() == point)
             .expect("find_leaf verified the entry is present");
-        self.nodes[leaf].entries.swap_remove(pos);
+        self.nodes[leaf].swap_remove(pos);
         self.len -= 1;
         self.condense(&path);
         true
@@ -58,15 +58,14 @@ impl RStarTree {
         let node = &self.nodes[idx];
         if node.level == 0 {
             if node
-                .entries
-                .iter()
-                .any(|e| e.child == Child::Record(id) && e.mbr.lo == point)
+                .entries()
+                .any(|e| e.child == Child::Record(id) && e.lo() == point)
             {
                 return true;
             }
         } else {
-            for e in &node.entries {
-                if !e.mbr.contains(point) {
+            for e in node.entries() {
+                if !contains(e.lo(), e.hi(), point) {
                     continue;
                 }
                 if let Child::Node(c) = e.child {
@@ -84,22 +83,20 @@ impl RStarTree {
     /// underfull nodes and refreshing ancestor MBRs/counts, then reinsert
     /// the orphaned entries and collapse a single-child root.
     fn condense(&mut self, path: &[usize]) {
-        // Orphan groups, pushed bottom-up: (node level, its entries).
-        let mut orphans: Vec<(u32, Vec<Entry>)> = Vec::new();
+        // The dissolved nodes, with their entries, pushed bottom-up.
+        let mut orphans: Vec<Node> = Vec::new();
         for i in (1..path.len()).rev() {
             let idx = path[i];
             let parent = path[i - 1];
-            if self.nodes[idx].entries.len() < self.config.min_entries {
+            if self.nodes[idx].len() < self.config.min_entries {
                 let pos = self.nodes[parent]
-                    .entries
-                    .iter()
-                    .position(|e| e.child == Child::Node(idx as u32))
+                    .position_of(Child::Node(idx as u32))
                     .expect("path parent links path child");
-                self.nodes[parent].entries.swap_remove(pos);
+                self.nodes[parent].swap_remove(pos);
                 let level = self.nodes[idx].level;
-                let entries = std::mem::take(&mut self.nodes[idx].entries);
+                let entries = std::mem::replace(&mut self.nodes[idx], Node::new(level, self.dims));
                 if !entries.is_empty() {
-                    orphans.push((level, entries));
+                    orphans.push(entries);
                 }
                 self.free.push(idx);
             } else {
@@ -107,42 +104,50 @@ impl RStarTree {
             }
         }
 
-        if self.height > 0 && self.nodes[self.root].entries.is_empty() {
+        if self.height > 0 && self.nodes[self.root].is_empty() {
             // The cascade consumed the root's last child, so everything left
             // lives in the orphan groups.  The highest group (pushed last)
             // belongs exactly one level below the old root: demote the root
             // to that level and seed it with the group, then reinsertion of
             // the lower groups proceeds as usual.
-            let (level, entries) = orphans.pop().expect("an emptied root implies orphans");
-            debug_assert_eq!(level + 1, self.nodes[self.root].level);
+            let group = orphans.pop().expect("an emptied root implies orphans");
+            debug_assert_eq!(group.level + 1, self.nodes[self.root].level);
+            self.height = group.level;
             let root = self.root;
-            self.nodes[root].level = level;
-            self.nodes[root].entries = entries;
-            self.height = level;
+            self.nodes[root] = group;
         }
 
         // Reinsert highest level first so internal entries always find a
         // resident level to land in (orphan levels are strictly below the
         // current root level).
-        for (level, entries) in orphans.into_iter().rev() {
-            for entry in entries {
+        for group in orphans.into_iter().rev() {
+            for entry in group.entries() {
                 let mut reinserted = vec![false; self.height as usize + 1];
-                self.insert_entry(entry, level, &mut reinserted);
+                self.insert_entry(entry.to_entry(), group.level, &mut reinserted);
             }
         }
 
         // Collapse a single-child internal root (possibly repeatedly).
-        while self.height > 0 && self.nodes[self.root].entries.len() == 1 {
-            let child = match self.nodes[self.root].entries[0].child {
+        while self.height > 0 && self.nodes[self.root].len() == 1 {
+            let child = match self.nodes[self.root].entry(0).child {
                 Child::Node(c) => c as usize,
                 Child::Record(_) => unreachable!("internal node entry points to a node"),
             };
-            self.nodes[self.root].entries.clear();
+            let level = self.nodes[self.root].level;
+            self.nodes[self.root] = Node::new(level, self.dims);
             self.free.push(self.root);
             self.root = child;
             self.height -= 1;
         }
     }
+}
+
+/// Whether `x` lies in the closed box `[lo, hi]`, with
+/// [`mrq_geometry::BoundingBox::contains`]'s tolerance.
+fn contains(lo: &[f64], hi: &[f64], x: &[f64]) -> bool {
+    x.iter()
+        .zip(lo.iter().zip(hi))
+        .all(|(v, (l, h))| *v >= l - EPS && *v <= h + EPS)
 }
 
 #[cfg(test)]

@@ -28,6 +28,7 @@ mod insert;
 mod node;
 mod query;
 
+pub(crate) use node::EntryRef;
 pub use node::{Child, Entry, Node, RStarConfig};
 
 use crate::iostats::PAGE_SIZE_BYTES;
@@ -63,14 +64,10 @@ impl RStarTree {
     pub fn with_config(dims: usize, config: RStarConfig) -> Self {
         assert!(dims >= 1, "dimensionality must be positive");
         config.validate();
-        let root_node = Node {
-            level: 0,
-            entries: Vec::new(),
-        };
         Self {
             dims,
             config,
-            nodes: vec![root_node],
+            nodes: vec![Node::new(0, dims)],
             free: Vec::new(),
             root: 0,
             height: 0,
@@ -186,23 +183,23 @@ impl RStarTree {
                 node.level
             ));
         }
-        if idx != self.root && node.entries.len() < self.config.min_entries {
+        if idx != self.root && node.len() < self.config.min_entries {
             return Err(format!(
                 "node {idx} underfull: {} < {}",
-                node.entries.len(),
+                node.len(),
                 self.config.min_entries
             ));
         }
-        if node.entries.len() > self.config.max_entries {
+        if node.len() > self.config.max_entries {
             return Err(format!(
                 "node {idx} overfull: {} > {}",
-                node.entries.len(),
+                node.len(),
                 self.config.max_entries
             ));
         }
         let mut total = 0usize;
         let mut mbr: Option<BoundingBox> = None;
-        for e in &node.entries {
+        for e in node.entries() {
             match e.child {
                 Child::Record(_) => {
                     if node.level != 0 {
@@ -210,6 +207,9 @@ impl RStarTree {
                     }
                     if e.count != 1 {
                         return Err(format!("record entry with count {}", e.count));
+                    }
+                    if e.lo() != e.hi() {
+                        return Err(format!("record entry of node {idx} is not a point"));
                     }
                     total += 1;
                 }
@@ -221,19 +221,18 @@ impl RStarTree {
                     if cnt != e.count as usize {
                         return Err(format!("entry count {} != subtree count {cnt}", e.count));
                     }
-                    if let Some(cmbr) = cmbr {
+                    if let Some(tight) = cmbr {
                         // The entry MBR must equal the child's tight MBR.
                         let tol = 1e-9;
-                        let tight = cmbr;
                         let ok = tight
                             .lo
                             .iter()
-                            .zip(&e.mbr.lo)
+                            .zip(e.lo())
                             .all(|(a, b)| (a - b).abs() < tol)
                             && tight
                                 .hi
                                 .iter()
-                                .zip(&e.mbr.hi)
+                                .zip(e.hi())
                                 .all(|(a, b)| (a - b).abs() < tol);
                         if !ok {
                             return Err(format!("entry MBR of node {idx} not tight"));
@@ -242,9 +241,10 @@ impl RStarTree {
                     total += cnt;
                 }
             }
+            let own = e.to_entry().mbr;
             mbr = Some(match mbr {
-                None => e.mbr.clone(),
-                Some(m) => m.union(&e.mbr),
+                None => own,
+                Some(m) => m.union(&own),
             });
         }
         Ok((total, mbr))

@@ -6,7 +6,7 @@
 //! sub-trees whose MBR is fully covered by the query, which is exactly how
 //! the paper's aggregate R-tree makes dominator counting cheap.
 
-use super::node::{Child, Node};
+use super::node::Child;
 use super::RStarTree;
 use crate::iostats::record_read;
 use mrq_data::RecordId;
@@ -25,9 +25,8 @@ impl RStarTree {
 
     fn range_ids_rec(&self, idx: usize, query: &BoundingBox, out: &mut Vec<RecordId>) {
         record_read();
-        let node: &Node = &self.nodes[idx];
-        for e in &node.entries {
-            if !query.intersects(&e.mbr) {
+        for e in self.nodes[idx].entries() {
+            if !intersects(query, e.lo(), e.hi()) {
                 continue;
             }
             match e.child {
@@ -50,11 +49,11 @@ impl RStarTree {
         record_read();
         let node = &self.nodes[idx];
         let mut total = 0u64;
-        for e in &node.entries {
-            if !query.intersects(&e.mbr) {
+        for e in node.entries() {
+            if !intersects(query, e.lo(), e.hi()) {
                 continue;
             }
-            if query.contains_box(&e.mbr) {
+            if contains_box(query, e.lo(), e.hi()) {
                 total += u64::from(e.count);
                 continue;
             }
@@ -116,12 +115,12 @@ impl RStarTree {
     ) {
         record_read();
         let node = &self.nodes[idx];
-        for e in &node.entries {
+        for e in node.entries() {
             // Prune sub-trees that contain only dominators / duplicates
             // (lower corner weakly dominates p) or only dominees / duplicates
             // (upper corner weakly dominated by p).
-            let all_ge = e.mbr.lo.iter().zip(p).all(|(l, pi)| l >= pi);
-            let all_le = e.mbr.hi.iter().zip(p).all(|(h, pi)| h <= pi);
+            let all_ge = e.lo().iter().zip(p).all(|(l, pi)| l >= pi);
+            let all_le = e.hi().iter().zip(p).all(|(h, pi)| h <= pi);
             if all_ge || all_le {
                 continue;
             }
@@ -130,7 +129,7 @@ impl RStarTree {
                     if Some(id) == skip {
                         continue;
                     }
-                    let r = &e.mbr.lo;
+                    let r = e.lo();
                     let ge = r.iter().zip(p).all(|(a, b)| a >= b);
                     let le = r.iter().zip(p).all(|(a, b)| a <= b);
                     if !ge && !le {
@@ -141,6 +140,28 @@ impl RStarTree {
             }
         }
     }
+}
+
+/// Whether the closed box `[lo, hi]` meets the query box, as
+/// [`BoundingBox::intersects`] decides it.
+fn intersects(query: &BoundingBox, lo: &[f64], hi: &[f64]) -> bool {
+    query
+        .lo
+        .iter()
+        .zip(&query.hi)
+        .zip(lo.iter().zip(hi))
+        .all(|((al, ah), (bl, bh))| al <= bh && bl <= ah)
+}
+
+/// Whether `[lo, hi]` lies inside the query box, as
+/// [`BoundingBox::contains_box`] decides it.
+fn contains_box(query: &BoundingBox, lo: &[f64], hi: &[f64]) -> bool {
+    query
+        .lo
+        .iter()
+        .zip(&query.hi)
+        .zip(lo.iter().zip(hi))
+        .all(|((al, ah), (bl, bh))| al <= bl && bh <= ah)
 }
 
 #[cfg(test)]

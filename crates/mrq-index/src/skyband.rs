@@ -61,8 +61,8 @@ fn k_skyband_impl(
     }
     let mut result: Vec<(RecordId, &[f64])> = Vec::new();
     while let Some(item) = heap.pop() {
-        let entry = item.entry;
-        let (lo, hi) = (entry.mbr.lo.as_slice(), entry.mbr.hi.as_slice());
+        let entry = item.entry(tree);
+        let (lo, hi) = (entry.lo(), entry.hi());
         if let Some((p, skip)) = focal {
             // Focal pruning, as in `IncrementalSkyline`: no incomparable
             // record inside.

@@ -78,8 +78,8 @@ pub fn top_k(tree: &RStarTree, q: &[f64], k: usize) -> TopKResult {
             Child::Node(idx) => {
                 record_read();
                 let node = &tree.nodes[idx as usize];
-                for e in &node.entries {
-                    let bound: f64 = e.mbr.hi.iter().zip(q).map(|(x, w)| x * w).sum();
+                for e in node.entries() {
+                    let bound: f64 = e.hi().iter().zip(q).map(|(x, w)| x * w).sum();
                     heap.push(QueueItem {
                         key: bound,
                         child: e.child,
@@ -109,12 +109,12 @@ fn count_above(tree: &RStarTree, idx: usize, q: &[f64], threshold: f64) -> usize
     record_read();
     let node = &tree.nodes[idx];
     let mut total = 0usize;
-    for e in &node.entries {
-        let upper: f64 = e.mbr.hi.iter().zip(q).map(|(x, w)| x * w).sum();
+    for e in node.entries() {
+        let upper: f64 = e.hi().iter().zip(q).map(|(x, w)| x * w).sum();
         if upper <= threshold {
             continue;
         }
-        let lower: f64 = e.mbr.lo.iter().zip(q).map(|(x, w)| x * w).sum();
+        let lower: f64 = e.lo().iter().zip(q).map(|(x, w)| x * w).sum();
         if lower > threshold {
             total += e.count as usize;
             continue;

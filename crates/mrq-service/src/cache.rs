@@ -3,10 +3,25 @@
 //! the `metrics` verb.
 //!
 //! The **dataset version** in the key is what keeps caching sound under
-//! updates: an `UPDATE` bumps the dataset's version, so every later query
-//! keys to fresh entries and a stale answer can never be served — without
-//! any global flush.  Entries computed at older versions simply stop being
-//! requested and age out through the LRU policy.
+//! updates: an `UPDATE` bumps the dataset's version, so a later query keys
+//! to entries stamped with the new version and an answer computed before
+//! the batch is never served as is.
+//!
+//! **The carry rule.**  Most update batches leave most answers exact: the
+//! standing-query triage of [`mrq_core::maintain`] proves it per entry with
+//! dominance tests and dot products against the answer's region boxes.
+//! [`ResultCache::carry`] runs that triage for every entry of the dataset
+//! stamped with the batch's parent version.  An entry the batch leaves
+//! unaffected is restamped with the new version, as the same `Arc`; an
+//! entry every delta of which is a uniform rank shift is restamped with
+//! the shifted answer; an entry a delta may cross, or whose focal record
+//! the batch deleted, is dropped, as is every entry older than the parent
+//! version.  A carried answer therefore equals a fresh evaluation at the
+//! new version (`tests/subscription_diff.rs` checks every resident entry
+//! after every batch) except for its `stats`, which stay those of the
+//! evaluation that produced it.  The triage runs outside the cache lock,
+//! which is taken once to collect the parent-version entries and once to
+//! restamp or drop them, each a walk over the resident entries.
 //!
 //! MaxRank evaluations are deterministic functions of the key — the service
 //! always runs with the default engine tuning (`pair_pruning = true`, default
@@ -19,14 +34,13 @@
 //! a slab, with a `HashMap` from key to slab slot: `get`, `insert` and
 //! eviction are all O(1).  No `unsafe`, no external crates.
 //!
-//! [`ResultCache::purge_stale`] walks the resident entries once per update
-//! batch: at most the capacity (1 024 entries by default), tens of
-//! microseconds at most, next to a durable update's WAL fsync, so no second
-//! index is kept beside the LRU.
+//! Each walk covers at most the capacity (1 024 entries by default), a few
+//! microseconds, so no second index is kept beside the LRU.
 
 use crate::sync::lock_or_recover;
+use mrq_core::maintain::{triage_batch, BatchTriage};
 use mrq_core::{Algorithm, MaxRankResult};
-use mrq_data::RecordId;
+use mrq_data::{Dataset, RecordId, Update};
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::{Arc, Mutex};
@@ -51,6 +65,24 @@ pub struct CacheKey {
     pub tau: usize,
 }
 
+/// A cache key within one dataset and version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct CarryKey {
+    focal: RecordId,
+    algorithm: Algorithm,
+    tau: usize,
+}
+
+impl CarryKey {
+    fn of(key: &CacheKey) -> Self {
+        Self {
+            focal: key.focal,
+            algorithm: key.algorithm,
+            tau: key.tau,
+        }
+    }
+}
+
 /// Counter snapshot exported through the `metrics` verb.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -60,9 +92,11 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
-    /// Entries purged because their dataset moved past their version (they
-    /// could never be hit again and were only occupying LRU capacity).
+    /// Entries an update could not prove exact (or left older than its
+    /// parent version), dropped because they could never be hit again.
     pub evictions_stale: u64,
+    /// Entries an update proved exact and restamped with its version.
+    pub carried: u64,
     /// Current number of cached entries.
     pub len: usize,
     /// Maximum number of entries (0 = caching disabled).
@@ -70,6 +104,14 @@ pub struct CacheStats {
 }
 
 const NIL: usize = usize::MAX;
+
+/// What [`Lru::restamp_where`] does with one resident entry.
+enum Fate<V> {
+    Keep,
+    Drop,
+    /// Move to a new key, with this value.
+    Restamp(V),
+}
 
 struct Slot<K, V> {
     key: K,
@@ -183,32 +225,64 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
         self.link_front(i);
     }
 
-    /// Removes every resident entry whose key satisfies `doomed`, in one
-    /// walk of the recency list.  Returns how many were removed.
-    fn remove_where(&mut self, mut doomed: impl FnMut(&K) -> bool) -> u64 {
-        let mut removed = 0;
+    /// Walks the resident entries once, in recency order, and keeps, drops
+    /// or restamps each as `fate` decides.  A restamped entry moves to the
+    /// key `rekey` makes of its old one and takes the new value, keeping its
+    /// recency; if that key is already resident, the entry is dropped
+    /// instead.  Returns the dropped keys and values, for the caller to
+    /// free after releasing its lock, and how many entries were restamped.
+    fn restamp_where(
+        &mut self,
+        mut fate: impl FnMut(&K, &V) -> Fate<V>,
+        rekey: impl Fn(&mut K),
+    ) -> (Vec<(K, V)>, u64) {
+        let (mut dropped, mut restamped) = (Vec::new(), 0);
         let mut i = self.head;
         while i != NIL {
             let next = self.slots[i].next;
-            if doomed(&self.slots[i].key) {
-                self.map.remove(&self.slots[i].key);
+            let slot = &self.slots[i];
+            let drop_slot = match fate(&slot.key, &slot.value) {
+                Fate::Keep => false,
+                Fate::Drop => {
+                    self.map.remove(&slot.key);
+                    true
+                }
+                Fate::Restamp(value) => {
+                    // Re-key the map's own copy of the key: no allocation.
+                    let (mut key, _) = self
+                        .map
+                        .remove_entry(&slot.key)
+                        .expect("a linked slot is mapped");
+                    rekey(&mut key);
+                    let taken = self.map.contains_key(&key);
+                    if !taken {
+                        rekey(&mut self.slots[i].key);
+                        self.slots[i].value = value;
+                        self.map.insert(key, i);
+                        restamped += 1;
+                    }
+                    taken
+                }
+            };
+            if drop_slot {
                 self.unlink(i);
-                let moved = self.release(i);
-                removed += 1;
+                let (moved, slot) = self.release(i);
+                dropped.push((slot.key, slot.value));
                 if next == moved {
                     continue; // the next slot now lives at `i`
                 }
             }
             i = next;
         }
-        removed
+        (dropped, restamped)
     }
 
-    /// Drops the unlinked, unmapped slot `i` by moving the last slot into
-    /// its place, and returns the moved slot's old index.
-    fn release(&mut self, i: usize) -> usize {
+    /// Removes the unlinked, unmapped slot `i` by moving the last slot into
+    /// its place, and returns the moved slot's old index and the removed
+    /// slot.
+    fn release(&mut self, i: usize) -> (usize, Slot<K, V>) {
         let last = self.slots.len() - 1;
-        self.slots.swap_remove(i);
+        let removed = self.slots.swap_remove(i);
         if i != last {
             let (prev, next) = (self.slots[i].prev, self.slots[i].next);
             if prev == NIL {
@@ -226,7 +300,7 @@ impl<K: Eq + Hash + Clone, V> Lru<K, V> {
                 .get_mut(&self.slots[i].key)
                 .expect("a linked slot is mapped") = i;
         }
-        last
+        (last, removed)
     }
 
     /// Keys from most to least recently used (tests only).
@@ -254,6 +328,7 @@ struct CacheInner {
     hits: u64,
     misses: u64,
     evictions_stale: u64,
+    carried: u64,
 }
 
 impl std::fmt::Debug for CacheInner {
@@ -275,6 +350,7 @@ impl ResultCache {
                 hits: 0,
                 misses: 0,
                 evictions_stale: 0,
+                carried: 0,
             }),
         }
     }
@@ -299,17 +375,98 @@ impl ResultCache {
         lock_or_recover(&self.inner).lru.insert(key, value);
     }
 
-    /// Proactively drops every entry of `dataset` computed before
-    /// `current_version`.  Version-keyed lookups already make such entries
-    /// unservable — this merely stops them from occupying LRU capacity that
-    /// live entries could use.  Returns the number of entries purged.
+    /// Carries the entries of `dataset` across one applied update batch:
+    /// `data` is the dataset after `batch`, which was applied on top of
+    /// version `parent`.  Entries stamped `parent` that the batch provably
+    /// leaves exact are restamped with `data`'s version (shifted, where the
+    /// batch shifts every order); every other entry of the dataset older
+    /// than that version is dropped.  Returns how many entries were carried.
+    pub fn carry(&self, dataset: &str, parent: u64, data: &Dataset, batch: &[Update]) -> u64 {
+        let resident: Vec<(CarryKey, Arc<MaxRankResult>)> = {
+            let inner = lock_or_recover(&self.inner);
+            inner
+                .lru
+                .slots
+                .iter()
+                .filter(|slot| slot.key.version == parent && slot.key.dataset == dataset)
+                .map(|slot| (CarryKey::of(&slot.key), Arc::clone(&slot.value)))
+                .collect()
+        };
+        // Outside the lock: each entry's verdict, as (entry, its carried form).
+        let carried: HashMap<CarryKey, (Arc<MaxRankResult>, Arc<MaxRankResult>)> = resident
+            .into_iter()
+            .filter(|(key, _)| data.is_live(key.focal))
+            .filter_map(|(key, result)| {
+                let carried = match triage_batch(&result, data.record(key.focal), batch, data).0 {
+                    BatchTriage::Unaffected => Arc::clone(&result),
+                    BatchTriage::Shifted(shifted) => Arc::new(shifted),
+                    BatchTriage::ReEnumerate => return None,
+                };
+                Some((key, (result, carried)))
+            })
+            .collect();
+        self.restamp(dataset, parent, data.version(), &carried).1
+    }
+
+    /// Drops every entry of `dataset` computed before `current_version`.
+    /// Version-keyed lookups already make such entries unservable; this
+    /// stops them from occupying LRU capacity that live entries could use.
+    /// Returns the number of entries purged.
     pub fn purge_stale(&self, dataset: &str, current_version: u64) -> u64 {
+        self.restamp(dataset, 0, current_version, &HashMap::new()).0
+    }
+
+    /// Under the lock: restamps the entries of `dataset` at `parent` that
+    /// `carried` holds (if each is still the `Arc` triaged) with `version`,
+    /// and drops every other entry of the dataset older than `version`.
+    /// Returns how many entries were dropped and restamped.
+    fn restamp(
+        &self,
+        dataset: &str,
+        parent: u64,
+        version: u64,
+        carried: &HashMap<CarryKey, (Arc<MaxRankResult>, Arc<MaxRankResult>)>,
+    ) -> (u64, u64) {
         let mut inner = lock_or_recover(&self.inner);
-        let purged = inner
-            .lru
-            .remove_where(|key| key.dataset == dataset && key.version < current_version);
-        inner.evictions_stale += purged;
-        purged
+        let (dropped, restamped) = inner.lru.restamp_where(
+            |key, value| {
+                if key.version >= version || key.dataset != dataset {
+                    return Fate::Keep;
+                }
+                match carried.get(&CarryKey::of(key)) {
+                    Some((triaged, result))
+                        if key.version == parent && Arc::ptr_eq(triaged, value) =>
+                    {
+                        Fate::Restamp(Arc::clone(result))
+                    }
+                    _ => Fate::Drop,
+                }
+            },
+            |key| key.version = version,
+        );
+        inner.evictions_stale += dropped.len() as u64;
+        inner.carried += restamped;
+        drop(inner);
+        // A dropped answer may be the last reference to its regions: free
+        // them outside the lock.
+        (dropped.len() as u64, restamped)
+    }
+
+    /// The resident entries of `dataset`, most recently used first, without
+    /// touching their recency or the hit counters.
+    pub fn entries(&self, dataset: &str) -> Vec<(CacheKey, Arc<MaxRankResult>)> {
+        let inner = lock_or_recover(&self.inner);
+        let lru = &inner.lru;
+        let mut out = Vec::new();
+        let mut i = lru.head;
+        while i != NIL {
+            let slot = &lru.slots[i];
+            if slot.key.dataset == dataset {
+                out.push((slot.key.clone(), Arc::clone(&slot.value)));
+            }
+            i = slot.next;
+        }
+        out
     }
 
     /// Counter snapshot.
@@ -320,6 +477,7 @@ impl ResultCache {
             misses: inner.misses,
             evictions: inner.lru.evictions,
             evictions_stale: inner.evictions_stale,
+            carried: inner.carried,
             len: inner.lru.len(),
             capacity: inner.lru.capacity,
         }
@@ -335,6 +493,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -478,8 +637,8 @@ mod tests {
         assert_eq!(cache.stats().len, 8);
     }
 
-    /// A purge drops the purged keys and values at once, not when a later
-    /// insert reuses their slots.
+    /// A walk hands the dropped keys and values back at once, not when a
+    /// later insert reuses their slots, and keeps nothing of them.
     #[test]
     fn purged_entries_release_their_results() {
         let mut lru: Lru<u32, Arc<MaxRankResult>> = Lru::new(128);
@@ -489,17 +648,26 @@ mod tests {
         }
         lru.insert(1000, dummy_result());
         assert_eq!(Arc::strong_count(&shared), 65);
-        assert_eq!(lru.remove_where(|&k| k < 64), 64);
+        let doomed = |&k: &u32, _: &Arc<MaxRankResult>| {
+            if k < 64 {
+                Fate::Drop
+            } else {
+                Fate::Keep
+            }
+        };
+        let (dropped, restamped) = lru.restamp_where(doomed, |_| {});
+        assert_eq!((dropped.len(), restamped), (64, 0));
         assert_eq!(lru.len(), 1);
+        drop(dropped);
         assert_eq!(Arc::strong_count(&shared), 1);
         assert_eq!(lru.keys_by_recency(), vec![1000]);
         assert!(lru.get(&1000).is_some());
     }
 
-    /// Removals in any pattern keep the recency list, the map and the slots
-    /// in step with a naive model.
+    /// Drops and restamps in any pattern keep the recency list, the map and
+    /// the slots in step with a naive model.
     #[test]
-    fn remove_where_keeps_recency_order() {
+    fn restamp_where_keeps_recency_order() {
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let mut next = move || {
             state ^= state << 13;
@@ -513,11 +681,36 @@ mod tests {
             let k = next() % 24;
             match next() % 4 {
                 0 => {
+                    // Drop the keys ≡ 0 and move the keys ≡ 1 (mod m) up by
+                    // 24, unless the moved key is taken.
                     let modulus = next() % 5 + 2;
-                    let removed = lru.remove_where(|key| key % modulus == 0);
-                    let before = model.len();
-                    model.retain(|key| key % modulus != 0);
-                    assert_eq!(removed as usize, before - model.len());
+                    let fate = |key: &u64, _: &u64| match key % modulus {
+                        0 => Fate::Drop,
+                        1 => Fate::Restamp((key + 24) * 10),
+                        _ => Fate::Keep,
+                    };
+                    let got = lru.restamp_where(fate, |key| *key += 24);
+                    let mut live: HashSet<u64> = model.iter().copied().collect();
+                    let (mut dropped, mut restamped) = (0, 0);
+                    let mut walked = Vec::new();
+                    for key in std::mem::take(&mut model) {
+                        live.remove(&key);
+                        match key % modulus {
+                            0 => dropped += 1,
+                            1 if live.contains(&(key + 24)) => dropped += 1,
+                            1 => {
+                                restamped += 1;
+                                live.insert(key + 24);
+                                walked.push(key + 24);
+                            }
+                            _ => {
+                                live.insert(key);
+                                walked.push(key);
+                            }
+                        }
+                    }
+                    model = walked;
+                    assert_eq!((got.0.len() as u64, got.1), (dropped, restamped));
                 }
                 1 => {
                     if lru.get(&k).is_some() {
@@ -535,7 +728,77 @@ mod tests {
             assert_eq!(lru.keys_by_recency(), model);
             assert_eq!(lru.len(), model.len());
             assert_eq!(lru.slots.len(), model.len());
+            for (i, slot) in lru.slots.iter().enumerate() {
+                assert_eq!(slot.value, slot.key * 10);
+                assert_eq!(lru.map[&slot.key], i);
+            }
         }
+    }
+
+    /// Figure 1 of the paper with one dominated record inserted (version
+    /// 1), and the evaluation of `focal` on it.
+    fn figure1_at_v1(focal: RecordId) -> (Dataset, Arc<MaxRankResult>) {
+        let rows = [
+            [0.8, 0.9],
+            [0.2, 0.7],
+            [0.9, 0.4],
+            [0.7, 0.2],
+            [0.4, 0.3],
+            [0.5, 0.5],
+        ];
+        let rows: Vec<Vec<f64>> = rows.iter().map(|r| r.to_vec()).collect();
+        let mut data = Dataset::from_rows(2, &rows);
+        data.apply(&Update::Insert(vec![0.05, 0.05])).unwrap();
+        let tree = mrq_index::RStarTree::bulk_load(&data);
+        let result = mrq_core::MaxRankQuery::new(&data, &tree)
+            .evaluate(focal, &mrq_core::MaxRankConfig::new());
+        (data, Arc::new(result))
+    }
+
+    #[test]
+    fn carry_restamps_parent_entries_and_drops_older_ones() {
+        let (mut data, at_v1) = figure1_at_v1(5);
+        let cache = ResultCache::new(8);
+        let at = |version, focal| CacheKey {
+            version,
+            focal,
+            ..key(0)
+        };
+        cache.insert(at(1, 5), Arc::clone(&at_v1));
+        cache.insert(at(1, 4), figure1_at_v1(4).1);
+        cache.insert(at(0, 3), dummy_result()); // older than the parent
+        let other = CacheKey {
+            dataset: "other".into(),
+            ..at(0, 5)
+        };
+        cache.insert(other.clone(), dummy_result());
+
+        // A dominated insert leaves both parent entries exact.
+        let batch = [Update::Insert(vec![0.01, 0.02])];
+        data.apply(&batch[0]).unwrap();
+        assert_eq!(cache.carry("demo", 1, &data, &batch), 2);
+        let kept = cache.get(&at(2, 5)).expect("carried to version 2");
+        assert!(
+            Arc::ptr_eq(&kept, &at_v1),
+            "an unaffected entry keeps its Arc"
+        );
+        assert!(cache.get(&at(2, 4)).is_some());
+        assert!(cache.get(&at(1, 5)).is_none(), "the old key is gone");
+        assert!(cache.get(&other).is_some(), "other datasets are untouched");
+        let s = cache.stats();
+        assert_eq!((s.carried, s.evictions_stale, s.len), (2, 1, 3));
+
+        // A dominating insert shifts both; deleting the focal drops its entry.
+        let batch = [Update::Insert(vec![0.95, 0.95]), Update::Delete(4)];
+        for update in &batch {
+            data.apply(update).unwrap();
+        }
+        assert_eq!(cache.carry("demo", 2, &data, &batch), 1);
+        let shifted = cache.get(&at(4, 5)).expect("carried to version 4");
+        assert_eq!(shifted.k_star, at_v1.k_star + 1);
+        assert!(cache.get(&at(4, 4)).is_none(), "a deleted focal is dropped");
+        let s = cache.stats();
+        assert_eq!((s.carried, s.evictions_stale, s.len), (3, 2, 2));
     }
 
     #[test]

@@ -795,11 +795,13 @@ mod tests {
             }
         );
 
-        // A follow-up query runs at the new version (r1 was deleted, but the
-        // new record dominates the focal, so k* stays 3), uncached.
+        // A follow-up query runs at the new version.  Record 0 was deleted,
+        // but the new record dominates the focal, so k* stays 3: the two
+        // rank shifts cancel and the cached entry is carried.
         let after = client.query("demo", 5).unwrap();
         assert_eq!(after.version, 2);
-        assert!(!after.cached);
+        assert_eq!(after.k_star, 3);
+        assert!(after.cached);
 
         // LIST reports the live record count (6: one slot of 7 is a
         // tombstone), consistent with the update reply.

@@ -23,8 +23,9 @@
 //!   validated against; per-request deadlines; graceful drain-then-join
 //!   shutdown.
 //! * [`cache`] — an O(1) LRU over `(dataset, version, focal, algorithm,
-//!   tau)` with hit/miss/eviction counters; the version component retires
-//!   stale entries without a flush.
+//!   tau)` with hit/miss/eviction counters; an update carries the entries
+//!   the standing-query triage proves exact to the new version and drops
+//!   the rest.
 //! * [`metrics`] — the counter registry behind the `metrics` verb, the
 //!   `/metrics` scrape and `maxrank-client --stats`.
 //! * [`service`] — the in-process composition ([`MrqService`]).

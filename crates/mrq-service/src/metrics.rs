@@ -121,8 +121,14 @@ pub fn families(stats: &ServiceStats) -> Vec<Family> {
         (
             "mrq_cache_evictions_stale_total",
             Counter,
-            "Entries purged because their dataset moved past their version.",
+            "Entries an update could not prove exact, or left older than its parent version.",
             one(c.evictions_stale),
+        ),
+        (
+            "mrq_cache_carried_total",
+            Counter,
+            "Entries an update proved exact and re-stamped with its version.",
+            one(c.carried),
         ),
         (
             "mrq_cache_entries",
@@ -664,6 +670,7 @@ mod tests {
                 misses: 2,
                 evictions: 1,
                 evictions_stale: 4,
+                carried: 6,
                 len: 5,
                 capacity: 128,
             },
@@ -720,6 +727,7 @@ mod tests {
             "mrq_cache_misses_total 2",
             "mrq_cache_evictions_total 1",
             "mrq_cache_evictions_stale_total 4",
+            "mrq_cache_carried_total 6",
             "mrq_cache_entries 5",
             "mrq_cache_capacity 128",
             "mrq_pool_workers 4",

@@ -428,7 +428,11 @@ impl DatasetHandle {
             deleted,
             records: entry.data.live_len(),
         };
-        *write_or_recover(&self.current) = entry;
+        // Swap under the write lock, free after releasing it: dropping the
+        // superseded snapshot may free a whole dataset and tree, and
+        // `snapshot()` readers must not wait for that.
+        let superseded = std::mem::replace(&mut *write_or_recover(&self.current), entry);
+        drop(superseded);
         if let Some(id) = request_id {
             lock_or_recover(&self.dedup).record(id, &outcome);
         }

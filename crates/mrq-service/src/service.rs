@@ -401,8 +401,8 @@ impl MrqService {
     /// Like [`MrqService::update`], with an optional client-generated
     /// `request_id` for exactly-once retries: a retry whose original already
     /// applied replays the receipt from the dataset's dedup window instead
-    /// of re-applying (and skips cache purge and subscription triage — both
-    /// already ran when the original landed).
+    /// of re-applying (and skips the cache carry and subscription triage —
+    /// both already ran when the original landed).
     pub fn update_with_id(
         &self,
         dataset: &str,
@@ -444,10 +444,22 @@ impl MrqService {
             self.reliability.count_dedup_hit();
             return Ok(outcome);
         }
-        // Entries of superseded versions can never be hit again; return
-        // their LRU slots now instead of waiting for unreachability.
-        self.cache.purge_stale(dataset, outcome.version);
-        let mailboxes = match self.registry.get(dataset) {
+        // Carry the cache entries the batch provably leaves exact to the new
+        // version, before the standing queries re-evaluate through the
+        // cache, and return every other superseded entry's LRU slot now.
+        let entry = self.registry.get(dataset);
+        match &entry {
+            Some(entry) if entry.version() == outcome.version => {
+                // Each update of a batch bumps the version by one, and a
+                // batch lands whole.
+                let parent = outcome.version - updates.len() as u64;
+                self.cache.carry(dataset, parent, entry.data(), updates);
+            }
+            _ => {
+                self.cache.purge_stale(dataset, outcome.version);
+            }
+        }
+        let mailboxes = match entry {
             Some(entry) if !subs.is_empty() => {
                 self.subscriptions
                     .triage_batch(&mut subs, &entry, updates, |sub: &Subscription| {
@@ -512,6 +524,12 @@ impl MrqService {
     /// is gone).  Returns how many were dropped.
     pub fn drop_subscriber(&self, mailbox: &Arc<NotifyMailbox>) -> usize {
         self.subscriptions.remove_mailbox(mailbox)
+    }
+
+    /// The result-cache entries of `dataset`, most recently used first,
+    /// read without counting a lookup.
+    pub fn cached_entries(&self, dataset: &str) -> Vec<(CacheKey, Arc<MaxRankResult>)> {
+        self.cache.entries(dataset)
     }
 
     /// Combined cache / pool / registry counters plus per-dataset query
@@ -830,33 +848,78 @@ mod tests {
         service.shutdown();
     }
 
+    /// The resident cache keys of the demo dataset, as (focal, version).
+    fn demo_keys(service: &MrqService) -> Vec<(RecordId, u64)> {
+        let mut keys: Vec<_> = service
+            .cached_entries("demo")
+            .iter()
+            .map(|(key, _)| (key.focal, key.version))
+            .collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// The carry rule, case by case, on focal 5 of the demo data (k* = 3).
     #[test]
-    fn update_invalidates_cache_by_version_not_flush() {
+    fn an_update_carries_the_cache_entries_it_proves_exact() {
         let service = demo_service(ServiceConfig::default());
         let req = QueryRequest::new("demo", 5);
-        let before = service.query(&req).unwrap();
-        assert_eq!(before.version, 0);
-        assert_eq!(before.result.k_star, 3);
+        let fresh = |service: &MrqService| {
+            service
+                .query(&QueryRequest {
+                    no_cache: true,
+                    ..QueryRequest::new("demo", 5)
+                })
+                .unwrap()
+                .result
+        };
+        let first = service.query(&req).unwrap();
+        assert_eq!((first.version, first.result.k_star), (0, 3));
 
-        // Insert a record that dominates the focal: k* must worsen by one.
-        let outcome = service
+        // A dominated insert: the same `Arc`, served at the new version.
+        service
+            .update("demo", &[Update::Insert(vec![0.05, 0.05])])
+            .unwrap();
+        let kept = service.query(&req).unwrap();
+        assert_eq!(kept.version, 1);
+        assert!(kept.cached);
+        assert!(Arc::ptr_eq(&kept.result, &first.result));
+
+        // A dominating insert: the entry is shifted, and equals a fresh
+        // evaluation.
+        service
             .update("demo", &[Update::Insert(vec![0.95, 0.95])])
             .unwrap();
-        assert_eq!(outcome.version, 1);
-        assert_eq!(outcome.inserted, vec![6]);
+        let shifted = service.query(&req).unwrap();
+        assert_eq!(shifted.version, 2);
+        assert!(shifted.cached);
+        assert!(!Arc::ptr_eq(&shifted.result, &first.result));
+        let evaluated = fresh(&service);
+        assert_eq!(shifted.result.k_star, 4);
+        assert_eq!(shifted.result.k_star, evaluated.k_star);
+        let orders = |r: &MaxRankResult| r.regions.iter().map(|g| g.order).collect::<Vec<_>>();
+        assert_eq!(orders(&shifted.result), orders(&evaluated));
+        let stats = service.stats().cache;
+        assert_eq!((stats.carried, stats.evictions_stale), (2, 0));
 
-        let after = service.query(&req).unwrap();
-        assert_eq!(after.version, 1);
-        assert!(
-            !after.cached,
-            "the version moved, so the old entry must not be served"
-        );
-        assert_eq!(after.result.k_star, 4);
+        // An insert whose half-space crosses a result region: purged.
+        service
+            .update("demo", &[Update::Insert(vec![0.6, 0.45])])
+            .unwrap();
+        assert_eq!(demo_keys(&service), vec![], "the crossed entry is gone");
+        assert_eq!(service.stats().cache.evictions_stale, 1);
+        let crossed = service.query(&req).unwrap();
+        assert!(!crossed.cached);
+        assert_eq!(crossed.result.k_star, fresh(&service).k_star);
 
-        // Both versions' entries coexist in the cache (no global flush).
-        let again = service.query(&req).unwrap();
-        assert!(again.cached);
-        assert_eq!(again.result.k_star, 4);
+        // Deleting the focal: purged, however the rest of the batch goes.
+        service.query(&QueryRequest::new("demo", 4)).unwrap();
+        assert_eq!(demo_keys(&service), vec![(4, 3), (5, 3)]);
+        service.update("demo", &[Update::Delete(5)]).unwrap();
+        // Focal 4 loses a dominator: shifted and carried.
+        assert_eq!(demo_keys(&service), vec![(4, 4)]);
+        let stats = service.stats().cache;
+        assert_eq!((stats.carried, stats.evictions_stale), (3, 2));
         service.shutdown();
     }
 
@@ -1186,17 +1249,23 @@ mod tests {
     }
 
     #[test]
-    fn update_purges_stale_cache_entries() {
+    fn update_purges_the_cache_entries_it_cannot_carry() {
         let service = demo_service(ServiceConfig::default());
         service.query(&QueryRequest::new("demo", 5)).unwrap();
         service.query(&QueryRequest::new("demo", 4)).unwrap();
         assert_eq!(service.stats().cache.len, 2);
+        // (0.6, 0.1) misses focal 5's regions but crosses focal 4's.
         service
             .update("demo", &[Update::Insert(vec![0.6, 0.1])])
             .unwrap();
+        assert_eq!(demo_keys(&service), vec![(5, 1)]);
         let stats = service.stats().cache;
-        assert_eq!(stats.len, 0, "superseded entries must be purged eagerly");
-        assert_eq!(stats.evictions_stale, 2);
+        assert_eq!((stats.carried, stats.evictions_stale), (1, 1));
+        // Deleting an incomparable record may promote an outside cell.
+        service.update("demo", &[Update::Delete(1)]).unwrap();
+        let stats = service.stats().cache;
+        assert_eq!(stats.len, 0, "unprovable entries are purged eagerly");
+        assert_eq!((stats.carried, stats.evictions_stale), (1, 2));
         service.shutdown();
     }
 

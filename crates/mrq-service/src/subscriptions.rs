@@ -30,7 +30,7 @@ use crate::protocol::{encode_frame, notify_payload};
 use crate::registry::DatasetEntry;
 use crate::service::QueryAnswer;
 use crate::sync::lock_or_recover;
-use mrq_core::maintain::{shift_result, triage_delete, triage_insert, DeltaTriage};
+use mrq_core::maintain::{triage_batch, BatchTriage};
 use mrq_core::{Algorithm, MaxRankResult};
 use mrq_data::{RecordId, Update};
 use std::collections::{HashMap, VecDeque};
@@ -379,9 +379,11 @@ impl SubscriptionBook {
     /// dataset's subscription lock (the same one it held across the registry
     /// apply), and `reevaluate` queries one subscription at that snapshot.
     ///
-    /// Per subscription: deltas are triaged in batch order against the
-    /// evolving resident result; the first delta that requires enumeration
-    /// subsumes the rest of the batch in a single call to `reevaluate`.
+    /// Per subscription: the batch is triaged by
+    /// [`mrq_core::maintain::triage_batch`], the rule the result cache
+    /// carries its entries by too; the first delta that requires
+    /// enumeration subsumes the rest of the batch in a single call to
+    /// `reevaluate`.
     /// Changed results are pushed to the owning mailbox; an unaffected batch
     /// only moves the version stamp and pushes nothing.  Subscriptions whose
     /// focal record the batch deleted, or whose re-evaluation failed, are
@@ -428,40 +430,27 @@ impl SubscriptionBook {
         let version = entry.version();
         let focal_row = entry.data().record(sub.focal);
         let mut state = lock_or_recover(&sub.state);
-        let mut result = Arc::clone(&state.result);
-        let mut changed = false;
-        for update in updates {
-            self.deltas_triaged.fetch_add(1, Ordering::Relaxed);
-            let verdict = match update {
-                Update::Insert(row) => triage_insert(&result, focal_row, row),
-                // Tombstoned slots keep their coordinates readable, so the
-                // post-apply snapshot still knows what was deleted.
-                Update::Delete(id) => triage_delete(&result, focal_row, entry.data().record(*id)),
-            };
-            match verdict {
-                DeltaTriage::Unaffected => {
-                    self.unaffected_skips.fetch_add(1, Ordering::Relaxed);
-                }
-                DeltaTriage::RankShift(shift) => {
-                    result = Arc::new(shift_result(&result, shift));
-                    changed = true;
-                    self.partial_repairs.fetch_add(1, Ordering::Relaxed);
-                }
-                DeltaTriage::ReEnumerate => {
-                    // One evaluation covers this delta and whatever follows
-                    // in the batch; stop classifying.
-                    self.full_reevals.fetch_add(1, Ordering::Relaxed);
-                    let answer =
-                        reevaluate(sub).map_err(|err| format!("re-evaluation failed: {err}"))?;
-                    debug_assert_eq!(answer.version, version);
-                    result = answer.result;
-                    changed = true;
-                    break;
-                }
+        let (verdict, tally) = triage_batch(&state.result, focal_row, updates, entry.data());
+        self.deltas_triaged
+            .fetch_add(tally.triaged, Ordering::Relaxed);
+        self.unaffected_skips
+            .fetch_add(tally.unaffected, Ordering::Relaxed);
+        self.partial_repairs
+            .fetch_add(tally.shifted, Ordering::Relaxed);
+        let changed = match verdict {
+            BatchTriage::Unaffected => None,
+            BatchTriage::Shifted(result) => Some(Arc::new(result)),
+            BatchTriage::ReEnumerate => {
+                // One evaluation covers the whole batch.
+                self.full_reevals.fetch_add(1, Ordering::Relaxed);
+                let answer =
+                    reevaluate(sub).map_err(|err| format!("re-evaluation failed: {err}"))?;
+                debug_assert_eq!(answer.version, version);
+                Some(answer.result)
             }
-        }
+        };
         state.version = version;
-        if changed {
+        if let Some(result) = changed {
             state.result = Arc::clone(&result);
             let algorithm = sub.algorithm;
             sub.notify(version, NotifyKind::Changed { result, algorithm });

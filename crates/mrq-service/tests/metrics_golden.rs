@@ -25,6 +25,7 @@ fn golden_stats() -> ServiceStats {
             misses: 57,
             evictions: 9,
             evictions_stale: 31,
+            carried: 22,
             len: 48,
             capacity: 1024,
         },

@@ -17,6 +17,13 @@
 //!    result to match a fresh rebuild at the new version.  A triage pass
 //!    that wrongly certified a crossing delta as unaffected would keep a
 //!    stale result resident and fail here even though no NOTIFY fired.
+//! 3. **Every cached answer is exact.**  The result cache carries an entry
+//!    across a batch by the same triage, so after every batch each resident
+//!    entry must be stamped with the new version and fingerprint-equal a
+//!    fresh rebuild there, and its witnesses must hold.  Besides the
+//!    subscriptions' own queries, a few plain queries per batch (from a
+//!    second generator, so the script itself is unchanged) put entries in
+//!    the cache that no subscription maintains.
 //!
 //! Some subscriptions repeat a live one's (focal, algorithm, τ).  Such
 //! co-subscribers share one evaluation through the result cache, so the
@@ -35,10 +42,12 @@ use common::{assert_witnesses_hold, fingerprint, fresh_eval, random_batch};
 use mrq_core::Algorithm;
 use mrq_data::{synthetic, Dataset, Distribution, Update};
 use mrq_service::{
-    DatasetRegistry, MrqService, NotifyKind, NotifyMailbox, ServiceConfig, Subscription,
+    DatasetRegistry, MrqService, NotifyKind, NotifyMailbox, QueryRequest, ServiceConfig,
+    Subscription,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Registers a subscription on a uniformly chosen live focal, or (with
@@ -76,8 +85,36 @@ fn subscribe_random(
     live_subs.insert(sub.id(), sub);
 }
 
+/// Checks every resident cache entry of the dataset against a fresh
+/// rebuild over the mirror; returns how many were checked.
+fn check_cache(service: &MrqService, mirror: &Dataset) -> usize {
+    let entries = service.cached_entries("dyn");
+    for (key, result) in &entries {
+        assert_eq!(
+            key.version,
+            mirror.version(),
+            "a cache entry outlived its batch (focal {})",
+            key.focal
+        );
+        let fresh = fresh_eval(mirror, key.focal, key.algorithm, key.tau);
+        assert_eq!(
+            fingerprint(result),
+            fingerprint(&fresh),
+            "cached answer diverged from a fresh rebuild at version {} (focal {}, {:?}, tau {})",
+            key.version,
+            key.focal,
+            key.algorithm,
+            key.tau
+        );
+        assert_witnesses_hold(result, mirror, key.focal);
+    }
+    entries.len()
+}
+
 fn run_script(d: usize, dist: Distribution, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
+    let mut query_rng = StdRng::seed_from_u64(seed.rotate_left(17));
+    let mut cached_checked = 0usize;
     let mut mirror = synthetic::generate(dist, 40, d, &mut rng);
     let registry = Arc::new(DatasetRegistry::new());
     registry.register_loaded("dyn", mirror.clone()).unwrap();
@@ -195,6 +232,21 @@ fn run_script(d: usize, dist: Distribution, seed: u64) {
                 );
                 assert_witnesses_hold(&result, &mirror, sub.focal());
             }
+
+            // 3. Every cached answer is exact at the new version, carried or
+            // not; then a few plain queries give the next batch more to
+            // carry.
+            cached_checked += check_cache(&service, &mirror);
+            let live: Vec<u32> = mirror.iter().map(|(id, _)| id).collect();
+            for _ in 0..3 {
+                let focal = live[query_rng.gen_range(0..live.len())];
+                let request = QueryRequest {
+                    algorithm: algorithms[query_rng.gen_range(0..algorithms.len())],
+                    tau: query_rng.gen_range(0..2usize),
+                    ..QueryRequest::new("dyn", focal)
+                };
+                service.query(&request).unwrap();
+            }
         }
     }
 
@@ -208,6 +260,11 @@ fn run_script(d: usize, dist: Distribution, seed: u64) {
     assert!(
         shared_results > 0,
         "no co-subscriber received a cache-shared result"
+    );
+    let cache = service.stats().cache;
+    assert!(
+        cache.carried > 0 && cached_checked > 0,
+        "no carried cache entry was checked"
     );
     service.shutdown();
 }
@@ -311,5 +368,106 @@ fn triage_counters_attest_skipped_enumeration() {
         stats.unaffected_skips + stats.partial_repairs > stats.full_reevals,
         "non-intersecting deltas must dominate the triage outcome"
     );
+    service.shutdown();
+}
+
+/// Queries racing updates: one thread applies a scripted run of batches
+/// while three query the service through its cache.  Every answer must
+/// fingerprint-equal a fresh rebuild at the version it is stamped with,
+/// whether it was evaluated, served from the cache, or carried there by an
+/// update.
+#[test]
+fn queries_racing_updates_are_exact_at_their_version() {
+    const SEED: u64 = 0x5EED_CA55;
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut mirror = synthetic::generate(Distribution::Independent, 40, 2, &mut rng);
+    let registry = Arc::new(DatasetRegistry::new());
+    registry.register_loaded("dyn", mirror.clone()).unwrap();
+    let service = MrqService::new(
+        Arc::clone(&registry),
+        ServiceConfig {
+            workers: 2,
+            ..ServiceConfig::default()
+        },
+    );
+    // The whole script up front, with the data at every version it lands on.
+    let mut batches = Vec::new();
+    let mut at_version = BTreeMap::from([(mirror.version(), mirror.clone())]);
+    for _ in 0..30 {
+        let batch = random_batch(&mirror, &mut rng);
+        for update in &batch {
+            mirror.apply(update).unwrap();
+        }
+        at_version.insert(mirror.version(), mirror.clone());
+        batches.push(batch);
+    }
+    // Focals live at every version, so every query is answered, and few of
+    // them, so queries repeat and the cache has entries to carry.
+    let focals: Vec<u32> = (0..40).filter(|&id| mirror.is_live(id)).take(8).collect();
+    let algorithms = [Algorithm::BasicApproach, Algorithm::AdvancedApproach2D];
+    let done = AtomicBool::new(false);
+    let asked = AtomicUsize::new(0);
+    let answers = std::thread::scope(|scope| {
+        let readers: Vec<_> = (0..3u64)
+            .map(|t| {
+                let (service, done, asked, focals) = (&service, &done, &asked, &focals);
+                scope.spawn(move || {
+                    let mut rng = StdRng::seed_from_u64(SEED + t);
+                    let mut answers = Vec::new();
+                    while !done.load(Ordering::Acquire) {
+                        let request = QueryRequest {
+                            algorithm: algorithms[rng.gen_range(0..algorithms.len())],
+                            ..QueryRequest::new("dyn", focals[rng.gen_range(0..focals.len())])
+                        };
+                        let answer = service.query(&request).unwrap();
+                        answers.push((request.focal, request.algorithm, answer));
+                        asked.fetch_add(1, Ordering::Release);
+                    }
+                    answers
+                })
+            })
+            .collect();
+        for batch in &batches {
+            // Some queries land between every two updates.
+            let mark = asked.load(Ordering::Acquire);
+            while asked.load(Ordering::Acquire) < mark + 6 {
+                std::thread::yield_now();
+            }
+            service.update("dyn", batch).unwrap();
+        }
+        done.store(true, Ordering::Release);
+        readers
+            .into_iter()
+            .flat_map(|reader| reader.join().unwrap())
+            .collect::<Vec<_>>()
+    });
+    let mut fresh: BTreeMap<(u64, u32, &str), String> = BTreeMap::new();
+    // Cache hits repeat one `Arc`: check each answer object once per version.
+    let mut checked = std::collections::HashSet::new();
+    for (focal, algorithm, answer) in &answers {
+        if !checked.insert((answer.version, Arc::as_ptr(&answer.result))) {
+            continue;
+        }
+        let expected = fresh
+            .entry((answer.version, *focal, algorithm.name()))
+            .or_insert_with(|| {
+                fingerprint(&fresh_eval(
+                    &at_version[&answer.version],
+                    *focal,
+                    *algorithm,
+                    0,
+                ))
+            });
+        assert_eq!(
+            &fingerprint(&answer.result),
+            expected,
+            "answer at version {} diverged from a fresh rebuild (focal {focal}, {algorithm:?}, cached {})",
+            answer.version,
+            answer.cached
+        );
+    }
+    let cache = service.stats().cache;
+    assert!(answers.len() >= 6 * batches.len());
+    assert!(cache.carried > 0, "no entry was carried across an update");
     service.shutdown();
 }
